@@ -1,28 +1,12 @@
-//! Criterion benches for the substrate crates: raw event-queue, cache
-//! array, DRAM model, and single-access walk throughput.
+//! Criterion benches for the substrate crates: cache array, DRAM model,
+//! and single-access walk throughput.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use hswx_engine::{EventQueue, SimTime};
+use hswx_engine::SimTime;
 use hswx_haswell::{CoherenceMode, System, SystemConfig};
 use hswx_mem::{
     CacheGeometry, DdrTimings, DramChannel, LineAddr, SetAssocCache,
 };
-
-fn event_queue(c: &mut Criterion) {
-    c.bench_function("engine/event_queue_push_pop_10k", |b| {
-        b.iter(|| {
-            let mut q = EventQueue::new();
-            for i in 0..10_000u64 {
-                q.push(SimTime(i * 7919 % 100_000), i);
-            }
-            let mut sum = 0u64;
-            while let Some((_, v)) = q.pop() {
-                sum = sum.wrapping_add(v);
-            }
-            sum
-        })
-    });
-}
 
 fn cache_array(c: &mut Criterion) {
     c.bench_function("mem/l3_slice_insert_access_10k", |b| {
@@ -82,6 +66,6 @@ fn access_walks(c: &mut Criterion) {
 criterion_group! {
     name = substrates;
     config = Criterion::default().sample_size(20);
-    targets = event_queue, cache_array, dram_channel, access_walks
+    targets = cache_array, dram_channel, access_walks
 }
 criterion_main!(substrates);

@@ -59,7 +59,6 @@ pub fn component_of(counter: &str) -> &'static str {
         "sys" => "walk engine",
         "cancel" => "cancellation",
         "job" => "job runtime",
-        "shard" => "shard runtime",
         _ => "other",
     }
 }
@@ -282,7 +281,6 @@ mod tests {
             ("sys.walks", "walk engine"),
             ("cancel.aborts", "cancellation"),
             ("job.wall_ms", "job runtime"),
-            ("shard.msgs", "shard runtime"),
             ("mystery.thing", "other"),
         ] {
             assert_eq!(component_of(prefix), expect, "{prefix}");

@@ -29,18 +29,12 @@ pub struct JobCtx {
     /// resumes from the last point instead of the last whole job. `None`
     /// when running outside the supervisor (standalone regenerators).
     pub checkpoint: Option<Arc<CheckpointStore>>,
-    /// Worker threads a job may hand to the sharded batch runtime
-    /// (`System::run_batch_sharded`). Sharded results are bit-identical
-    /// at any thread count, so this only changes wall-clock, never
-    /// artifact bytes. Validated at the CLI boundary via
-    /// [`hswx_haswell::ShardConfig::validate`].
-    pub threads: usize,
 }
 
 impl JobCtx {
     /// Context with no checkpointing (standalone runs, tests).
     pub fn bare(seed: u64, degraded: bool) -> Self {
-        JobCtx { seed, degraded, checkpoint: None, threads: 1 }
+        JobCtx { seed, degraded, checkpoint: None }
     }
 }
 

@@ -16,7 +16,7 @@ use hswx_engine::SimTime;
 use hswx_haswell::microbench::Buffer;
 use hswx_haswell::placement::{PlacedState, Placement};
 use hswx_haswell::report::sweep_sizes;
-use hswx_haswell::{Access, CoherenceMode, Issue, ShardConfig, System, SystemConfig};
+use hswx_haswell::{Access, CoherenceMode, Issue, System, SystemConfig};
 use hswx_mem::{CoreId, LineAddr, NodeId};
 use std::time::Instant;
 
@@ -162,44 +162,6 @@ fn mem_walk_batch(iters: u64) -> KernelResult {
     })
 }
 
-/// Cold reads dispatched through the supervised sharded runtime at a
-/// fixed worker-thread count, with the access stream round-robined over
-/// every core so each NUMA-node shard owns real work. Tracked at 1, 2,
-/// and 8 threads: `shard1` prices the supervision machinery itself
-/// against `mem_walk_batch` (same dispatch loop, plus shard planning),
-/// and the 2/8-thread points track the parallel planning dividend. All
-/// three produce bit-identical simulation results — only the host
-/// throughput may differ.
-fn mem_walk_shard(name: &'static str, threads: usize, iters: u64) -> KernelResult {
-    let mode = CoherenceMode::SourceSnoop;
-    let cfg = SystemConfig::e5_2680_v3(mode);
-    let n_cores = u64::from(cfg.n_cores());
-    let mut sys = System::new(cfg);
-    let base = sys.topo.numa_base(NodeId(0)).line().0;
-    let warm = iters / 4;
-    let accs: Vec<Access> = (0..warm + iters)
-        .map(|i| Access::read(CoreId((i % n_cores) as u16), LineAddr(base + i)))
-        .collect();
-    let (warm_accs, rest) = accs.split_at(warm as usize);
-    let scfg = ShardConfig::with_threads(threads);
-    let mut t = sys
-        .run_batch_sharded(warm_accs, &scfg)
-        .expect("clean sharded warmup")
-        .outcome
-        .done;
-    let mut timed = rest.to_vec();
-    kernel(name, iters, || {
-        let mut done = 0u64;
-        for chunk in timed.chunks_mut(hswx_haswell::BATCH_CHUNK) {
-            chunk[0].issue = Issue::At(t);
-            let out = sys.run_batch_sharded(chunk, &scfg).expect("clean sharded run");
-            t = out.outcome.done;
-            done += out.outcome.replies.len() as u64;
-        }
-        done
-    })
-}
-
 /// Placement throughput: write + demote a Modified working set into L3
 /// (the setup phase that dominates figure regeneration).
 fn placement_l3(lines_n: u64) -> KernelResult {
@@ -297,14 +259,6 @@ fn fig4_wall() -> FigureResult {
     FigureResult { name: "fig4", points, wall_s: t0.elapsed().as_secs_f64() }
 }
 
-/// One-off sharded-walk measurement at an arbitrary validated thread
-/// count — the `hswx perfbench --threads N` hook. Reported alongside
-/// the suite but never gated: the committed baseline only tracks the
-/// fixed 1/2/8-thread kernels.
-pub fn shard_probe(threads: usize, iters: u64) -> KernelResult {
-    mem_walk_shard("mem_walk_shard_probe", threads, iters)
-}
-
 /// Run one named kernel with `walks` iterations and return its walks/sec
 /// (hook for the `walks` criterion bench; panics on an unknown name).
 pub fn run_kernel_for_bench(name: &str, walks: u64) -> f64 {
@@ -313,9 +267,6 @@ pub fn run_kernel_for_bench(name: &str, walks: u64) -> f64 {
         "l3_walk" => l3_walk(walks),
         "mem_walk" => mem_walk(walks),
         "mem_walk_batch" => mem_walk_batch(walks),
-        "mem_walk_shard1" => mem_walk_shard("mem_walk_shard1", 1, walks),
-        "mem_walk_shard2" => mem_walk_shard("mem_walk_shard2", 2, walks),
-        "mem_walk_shard8" => mem_walk_shard("mem_walk_shard8", 8, walks),
         "placement_l3" => placement_l3(walks),
         "placement_l3_batch" => placement_l3_batch(walks),
         other => panic!("unknown perf kernel {other}"),
@@ -347,9 +298,6 @@ pub fn run(quick: bool) -> PerfReport {
             l3_walk(1_000_000),
             mem_walk(400_000),
             mem_walk_batch(400_000),
-            mem_walk_shard("mem_walk_shard1", 1, 200_000),
-            mem_walk_shard("mem_walk_shard2", 2, 200_000),
-            mem_walk_shard("mem_walk_shard8", 8, 200_000),
             placement_l3(32 * 1024),
             placement_l3_batch(32 * 1024),
         ]
@@ -371,7 +319,7 @@ impl PerfReport {
     pub fn to_json(&self) -> String {
         let mut s = String::new();
         s.push_str("{\n");
-        s.push_str("  \"schema\": 3,\n");
+        s.push_str("  \"schema\": 4,\n");
         s.push_str(&format!("  \"mode\": \"{}\",\n", if self.quick { "quick" } else { "full" }));
         s.push_str("  \"kernels\": [\n");
         for (i, k) in self.kernels.iter().enumerate() {
@@ -696,8 +644,8 @@ mod tests {
 
     #[test]
     fn schema2_baseline_still_parses() {
-        // A verbatim schema-2 `BENCH_perf.json` prefix (pre-shard format,
-        // no `mem_walk_shard*` kernels): old baselines keep comparing.
+        // A verbatim schema-2 `BENCH_perf.json` prefix (the batch-kernel
+        // format): old baselines keep comparing.
         let v2 = "{\n  \"schema\": 2,\n  \"mode\": \"full\",\n  \"kernels\": [\n    \
                   {\"name\": \"mem_walk_batch\", \"walks\": 400000, \"wall_s\": 0.2100, \"walks_per_sec\": 1904761.9}\n  ],\n  \
                   \"figures\": []\n}\n";
@@ -705,11 +653,11 @@ mod tests {
     }
 
     #[test]
-    fn schema3_report_lists_shard_kernels() {
+    fn schema4_report_round_trips() {
         let r = PerfReport {
             quick: true,
             kernels: vec![KernelResult {
-                name: "mem_walk_shard8",
+                name: "mem_walk_batch",
                 walks: 10,
                 wall_s: 0.5,
                 walks_per_sec: 20.0,
@@ -717,8 +665,8 @@ mod tests {
             figures: vec![],
         };
         let json = r.to_json();
-        assert!(json.contains("\"schema\": 3"));
-        assert_eq!(parse_baseline(&json), vec![("mem_walk_shard8".to_string(), 20.0)]);
+        assert!(json.contains("\"schema\": 4"));
+        assert_eq!(parse_baseline(&json), vec![("mem_walk_batch".to_string(), 20.0)]);
     }
 
     #[test]
@@ -878,8 +826,6 @@ mod tests {
         let k = super::mem_walk(256);
         assert!(k.walks_per_sec > 0.0);
         let k = super::mem_walk_batch(256);
-        assert!(k.walks_per_sec > 0.0);
-        let k = super::mem_walk_shard("mem_walk_shard2", 2, 256);
         assert!(k.walks_per_sec > 0.0);
         let k = super::placement_l3_batch(256);
         assert!(k.walks_per_sec > 0.0);

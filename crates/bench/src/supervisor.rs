@@ -70,11 +70,6 @@ pub struct SupervisorConfig {
     /// Force degraded mode from the start (deterministic shedding, used
     /// by smoke runs and tests).
     pub force_degraded: bool,
-    /// Worker threads handed to each job via [`JobCtx::threads`] for
-    /// sharded batch phases. Sharded planning is bit-identical at any
-    /// thread count, so this never changes artifact bytes or digests —
-    /// only wall-clock. Validated at the CLI boundary.
-    pub threads: usize,
     /// Sample simulated-time telemetry during every job (an ambient
     /// [`TelemetryHub`] per attempt). Per-channel totals land in the
     /// journal and manifest; the merged series is available from
@@ -95,7 +90,6 @@ impl Default for SupervisorConfig {
             job_deadline: None,
             time_budget: None,
             force_degraded: false,
-            threads: 1,
             telemetry: false,
         }
     }
@@ -401,12 +395,8 @@ impl Supervisor {
         let mut last_err = String::from("job never ran");
         for attempt in 0..self.cfg.max_attempts.max(1) {
             let seed = self.cfg.seed ^ (attempt as u64).wrapping_mul(RETRY_SEED_PERTURB);
-            let ctx = JobCtx {
-                seed,
-                degraded,
-                checkpoint: Some(Arc::clone(&checkpoint)),
-                threads: self.cfg.threads.max(1),
-            };
+            let ctx =
+                JobCtx { seed, degraded, checkpoint: Some(Arc::clone(&checkpoint)) };
             // The ambient token reaches every `System` the job constructs,
             // including inside nested parallel sweeps; a deadline overrun
             // turns the next walk into a typed Cancelled error. The

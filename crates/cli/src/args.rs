@@ -10,8 +10,11 @@ pub struct Flags {
 }
 
 impl Flags {
-    /// Parse `argv`; boolean flags (`--write`) get the value `"true"`.
-    pub fn parse(argv: &[String], boolean: &[&str]) -> Result<Flags, String> {
+    /// Parse `argv` against the flags a command accepts: each `value`
+    /// flag takes the next argument, each `boolean` flag (`--write`) gets
+    /// the value `"true"`, and any other `--key` is an error, so a typo
+    /// fails loudly instead of running with defaults.
+    pub fn parse(argv: &[String], value: &[&str], boolean: &[&str]) -> Result<Flags, String> {
         let mut map = HashMap::new();
         let mut positional = Vec::new();
         let mut i = 0;
@@ -20,12 +23,14 @@ impl Flags {
             if let Some(key) = a.strip_prefix("--") {
                 if boolean.contains(&key) {
                     map.insert(key.to_string(), "true".to_string());
-                } else {
+                } else if value.contains(&key) {
                     let v = argv
                         .get(i + 1)
                         .ok_or_else(|| format!("--{key} needs a value"))?;
                     map.insert(key.to_string(), v.clone());
                     i += 1;
+                } else {
+                    return Err(format!("unknown flag --{key}"));
                 }
             } else {
                 positional.push(a.clone());
@@ -69,7 +74,8 @@ mod tests {
 
     #[test]
     fn parses_flags_and_positionals() {
-        let f = Flags::parse(&argv("file.txt --mode cod --window 8"), &[]).unwrap();
+        let f = Flags::parse(&argv("file.txt --mode cod --window 8"), &["mode", "window"], &[])
+            .unwrap();
         assert_eq!(f.positional, vec!["file.txt"]);
         assert_eq!(f.get("mode", "source"), "cod");
         assert_eq!(f.get_parse("window", 1u32).unwrap(), 8);
@@ -78,20 +84,30 @@ mod tests {
 
     #[test]
     fn boolean_flags_take_no_value() {
-        let f = Flags::parse(&argv("--write --level mem"), &["write"]).unwrap();
+        let f = Flags::parse(&argv("--write --level mem"), &["level"], &["write"]).unwrap();
         assert!(f.has("write"));
         assert_eq!(f.get("level", "l3"), "mem");
     }
 
     #[test]
     fn missing_value_is_an_error() {
-        assert!(Flags::parse(&argv("--mode"), &[]).is_err());
+        assert!(Flags::parse(&argv("--mode"), &["mode"], &[]).is_err());
     }
 
     #[test]
     fn bad_parse_reports_flag_name() {
-        let f = Flags::parse(&argv("--window nope"), &[]).unwrap();
+        let f = Flags::parse(&argv("--window nope"), &["window"], &[]).unwrap();
         let e = f.get_parse("window", 1u32).unwrap_err();
         assert!(e.contains("--window"));
+    }
+
+    #[test]
+    fn unknown_flags_are_errors_naming_the_flag() {
+        for (line, key) in
+            [("--threads 2", "--threads"), ("--mode cod --quick", "--quick"), ("--mdoe cod", "--mdoe")]
+        {
+            let e = Flags::parse(&argv(line), &["mode"], &[]).err().expect(line);
+            assert_eq!(e, format!("unknown flag {key}"));
+        }
     }
 }

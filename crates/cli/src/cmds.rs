@@ -20,7 +20,7 @@ USAGE:
                  [--placer CORE[,CORE..]] [--measurer CORE] [--home NODE] [--size BYTES]
   hswx bandwidth [latency flags] [--width avx|sse] [--write | --write-nt]
   hswx replay    FILE [--mode M] [--window N]
-  hswx explain   [latency flags]   (prints the protocol steps of one access)
+  hswx explain   [latency flags but --size]   (prints the protocol steps of one access)
   hswx apps      [--accesses N]
   hswx faultcheck [--plan FILE] [--seed N] [--trials N] [--classes a,b,..] [--quick]
                  [--json FILE]
@@ -31,7 +31,7 @@ USAGE:
   hswx campaign  [--out DIR] [--journal FILE] [--resume] [--fsync] [--seed N]
                  [--jobs a,b,..] [--attempts N] [--deadline-ms N]
                  [--time-budget-ms N] [--degraded] [--metrics-json FILE]
-                 [--telemetry BASE] [--threads N]
+                 [--telemetry BASE]
                  (supervised figure/table regeneration: dependency-aware
                   job queue with watchdog deadlines, bounded retry, and a
                   crash-safe journal; --resume skips journaled jobs;
@@ -40,50 +40,30 @@ USAGE:
                   writes the merged profile to BASE.csv and BASE.om)
   hswx perfbench [--quick] [--baseline FILE] [--write-baseline] [--out FILE]
                  [--tolerance PCT] [--history FILE] [--no-history]
-                 [--check-history] [--threads N]
-                 (host-throughput walk kernels — sequential, batch-engine
-                  (mem_walk_batch, placement_l3_batch), and sharded
-                  (mem_walk_shard1/2/8) variants — vs the committed
-                  BENCH_perf.json; exits nonzero on a regression; every
-                  run appends a dated, git-sha-stamped entry to
-                  BENCH_history.jsonl unless --no-history; --threads adds
-                  an ungated sharded probe at N worker threads;
+                 [--check-history]
+                 (host-throughput walk kernels — sequential and
+                  batch-engine variants (mem_walk_batch, placement_l3_batch)
+                  — vs the committed BENCH_perf.json; exits nonzero on a
+                  regression; every run appends a dated, git-sha-stamped
+                  entry to BENCH_history.jsonl unless --no-history;
                   --check-history instead gates the newest history entry
                   against each kernel's trailing median, nonzero exit on
                   a >tolerance drop — the CI trend gate)
   hswx soak      [--budget 60s|1500ms|N] [--seed N] [--out DIR] [--report FILE]
-                 [--metrics-json FILE] [--scenario mixed|shard-chaos]
-                 [--threads N]
+                 [--metrics-json FILE]
                  (randomized chaos soak: mixed walks + recoverable fault
                   injection + mid-stream snapshot/restore round-trips +
                   cancellation storms under the strict monitor for a
                   wall-clock budget; exits nonzero on any violation or
                   snapshot mismatch; --out keeps failing snapshot pairs,
-                  --report writes the JSON soak report; --scenario
-                  shard-chaos stresses the sharded parallel runtime —
-                  killed shards, watchdog deadlines, cancellation — and
-                  requires every recovery to stay bit-identical;
-                  --threads pins the shard worker count, validated
-                  through the typed config boundary)
+                  --report writes the JSON soak report)
   hswx trace     [latency flags] [--accesses N] [--out FILE]
                  (run a placed-state scenario with the span tracer armed:
                   writes Chrome/Perfetto trace-event JSON and prints a
                   terminal waterfall plus an exact latency attribution)
-  hswx trace     --threads N [--mode M] [--accesses N] [--out FILE]
-                 (run a batch through the sharded runtime with the causal
-                  flow tracer armed: every cross-shard message becomes a
-                  Perfetto flow event linking its send and recv spans, so
-                  one access's plan renders as a single tree across the
-                  per-shard tracks; also prints per-edge traffic totals)
   hswx explain fig7 [SIZE_KIB] [--fwd N] [--home N]
                  (trace one read of the Figure 7 HitME/AllocateShared
                   anomaly and attribute its latency hop by hop)
-  hswx explain shard [--threads N] [--accesses N] [--mode M]
-                 (run one batch sequentially and sharded, then decompose
-                  the wall-clock gap into exact component rows — partition,
-                  shard execution, queue wait, checkpointing, supervisor
-                  overhead, merge, dispatch — that sum to the gap to the
-                  nanosecond, same contract as `hswx explain fig7`)
   hswx explain diff A B [--telemetry-a FILE] [--telemetry-b FILE]
                  (compare two runs' metrics JSON exports — files or run
                   directories — and rank the regression by hardware
@@ -91,27 +71,27 @@ USAGE:
   hswx top       [--dir DIR] [--frames N] [--interval-ms N] [--plain] [--once]
                  (live dashboard tailing DIR/heartbeat.txt from a running
                   campaign or soak: progress, retries, ETA, per-component
-                  activity sparklines, and a per-shard lane panel with
-                  queue-depth sparklines when the driver runs sharded;
-                  torn/partial heartbeat reads are skipped and retried;
-                  exits when the driver finishes)
+                  activity sparklines; torn/partial heartbeat reads are
+                  skipped and retried; exits when the driver finishes)
 
 EXAMPLES:
   hswx latency --state M --level l1 --placer 1 --measurer 0
   hswx bandwidth --level mem --size 67108864 --width avx
   hswx replay mytrace.txt --mode cod --window 8
   hswx trace --mode cod --state S --level l3 --home 1 --out trace.json
-  hswx trace --threads 2 --out shard-trace.json
   hswx explain fig7 128
-  hswx explain shard --threads 2
   hswx faultcheck --quick
   hswx campaign --out results --resume --metrics-json results/metrics.json
   hswx campaign --out results --telemetry results/telemetry
   hswx soak --budget 60s --seed 7 --report soak.json
-  hswx soak --budget 30s --scenario shard-chaos --threads 8
   hswx top --dir results
   hswx explain diff runA/metrics.json runB/metrics.json
   hswx perfbench --quick";
+
+/// Value flags of the placed-state scenario commands (`latency`,
+/// `bandwidth`, `trace`, `explain`): what `mode_of`, `level_of`,
+/// `state_of` and `placers_of` read, plus the measuring core and home.
+const SCENARIO_FLAGS: &[&str] = &["mode", "level", "state", "placer", "measurer", "home"];
 
 fn mode_of(flags: &Flags) -> Result<CoherenceMode, String> {
     match flags.get("mode", "source") {
@@ -154,17 +134,6 @@ fn placers_of(flags: &Flags) -> Result<Vec<CoreId>, String> {
         .collect()
 }
 
-/// Parse and validate `--threads` through the typed config boundary
-/// ([`hswx_haswell::ShardConfig::validate`]), so every subcommand
-/// rejects bad counts with the same `ConfigError::Threads` message
-/// instead of an ad-hoc string. `None` when the flag is absent.
-fn threads_of(flags: &Flags) -> Result<Option<usize>, String> {
-    let Some(v) = flags.map_get("threads") else { return Ok(None) };
-    let n: usize = v.parse().map_err(|_| format!("bad value for --threads: {v}"))?;
-    hswx_haswell::ShardConfig::with_threads(n).validate().map_err(|e| e.to_string())?;
-    Ok(Some(n))
-}
-
 fn default_size(level: Level) -> u64 {
     match level {
         Level::L1 => 16 << 10,
@@ -176,7 +145,7 @@ fn default_size(level: Level) -> u64 {
 
 /// `hswx info` — describe the simulated machine.
 pub fn info(argv: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(argv, &[])?;
+    let flags = Flags::parse(argv, &["mode"], &[])?;
     let mode = mode_of(&flags)?;
     let sys = System::new(SystemConfig::e5_2680_v3(mode));
     println!("mode:   {}", sys.cfg.mode.label());
@@ -204,7 +173,7 @@ pub fn info(argv: &[String]) -> Result<(), String> {
 
 /// `hswx latency` — one placed-state pointer-chase measurement.
 pub fn latency(argv: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(argv, &[])?;
+    let flags = Flags::parse(argv, &[SCENARIO_FLAGS, &["size"]].concat(), &[])?;
     let mode = mode_of(&flags)?;
     let level = level_of(&flags)?;
     let state = state_of(&flags)?;
@@ -231,7 +200,8 @@ pub fn latency(argv: &[String]) -> Result<(), String> {
 
 /// `hswx bandwidth` — one placed-state streaming measurement.
 pub fn bandwidth(argv: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(argv, &["write", "write-nt"])?;
+    let flags =
+        Flags::parse(argv, &[SCENARIO_FLAGS, &["size", "width"]].concat(), &["write", "write-nt"])?;
     let mode = mode_of(&flags)?;
     let level = level_of(&flags)?;
     let state = state_of(&flags)?;
@@ -267,10 +237,7 @@ pub fn bandwidth(argv: &[String]) -> Result<(), String> {
 #[cfg(feature = "trace")]
 pub fn trace(argv: &[String]) -> Result<(), String> {
     use hswx_bench::scenarios::LatencyScenario;
-    let flags = Flags::parse(argv, &[])?;
-    if let Some(threads) = threads_of(&flags)? {
-        return trace_shard(&flags, threads);
-    }
+    let flags = Flags::parse(argv, &[SCENARIO_FLAGS, &["size", "accesses", "out"]].concat(), &[])?;
     let mode = mode_of(&flags)?;
     let level = level_of(&flags)?;
     let state = state_of(&flags)?;
@@ -321,70 +288,6 @@ pub fn trace(_argv: &[String]) -> Result<(), String> {
         .into())
 }
 
-/// A deterministic mixed read/write batch spread over every core, used
-/// by the sharded observability commands (`trace --threads`, `explain
-/// shard`) so their numbers are reproducible run to run.
-fn shard_demo_batch(n: usize, cores: u16) -> Vec<hswx_haswell::Access> {
-    use hswx_haswell::Access;
-    use hswx_mem::LineAddr;
-    (0..n)
-        .map(|i| {
-            let core = CoreId((i as u16 * 7) % cores);
-            let line = LineAddr((i as u64 * 192) % (1 << 21));
-            if i % 4 == 0 {
-                Access::write(core, line)
-            } else {
-                Access::read(core, line)
-            }
-        })
-        .collect()
-}
-
-/// `hswx trace --threads N` — run a sharded batch with the causal flow
-/// tracer armed and export every cross-shard message as a Perfetto flow
-/// event (send and recv slivers on the per-shard tracks, linked by flow
-/// id, grouped into per-access trees by the `group` arg). The captured
-/// trace is validated for well-formedness (every recv pairs with a send,
-/// per-edge FIFO order holds) before export.
-#[cfg(feature = "trace")]
-fn trace_shard(flags: &Flags, threads: usize) -> Result<(), String> {
-    use hswx_haswell::ShardConfig;
-    let mode = mode_of(flags)?;
-    let accesses = flags.get_parse("accesses", 96usize)?.max(1);
-    let out_path = flags.get("out", "trace.json").to_string();
-
-    let cfg = SystemConfig::e5_2680_v3(mode);
-    let batch = shard_demo_batch(accesses, cfg.n_cores());
-    let mut sys = System::new(cfg);
-    let mut scfg = ShardConfig::with_threads(threads);
-    scfg.flows = Some(1 << 20);
-    let run = sys.run_batch_sharded(&batch, &scfg).map_err(|e| e.to_string())?;
-    hswx_engine::shard::validate_shard_trace(&run.report.trace)
-        .map_err(|e| format!("internal: malformed shard flow trace: {e}"))?;
-    let json = hswx_engine::trace::shard_chrome_json(&run.report.trace);
-    hswx_engine::trace::validate_trace_json(&json)
-        .map_err(|e| format!("internal: trace JSON failed validation: {e}"))?;
-    hswx_engine::atomic_write(std::path::Path::new(&out_path), json.as_bytes(), false)
-        .map_err(|e| format!("{out_path}: {e}"))?;
-
-    println!(
-        "traced {} cross-shard message(s) over {} round(s) at {threads} worker thread(s);",
-        run.report.messages, run.report.rounds
-    );
-    println!("Perfetto flow trace written to {out_path}");
-    println!("\nper-edge traffic (deterministic at any thread count):");
-    println!("  {:<20} {:>8} {:>10}", "edge", "msgs", "bytes");
-    for h in &run.report.shards {
-        for e in &h.inbound_edges {
-            if e.msgs > 0 {
-                let edge = format!("shard{} -> shard{}", e.src.0, h.shard.0);
-                println!("  {edge:<20} {:>8} {:>10}", e.msgs, e.bytes);
-            }
-        }
-    }
-    Ok(())
-}
-
 /// Print the exact latency attribution of one walk: every row is the
 /// simulated time charged to the innermost span covering it, and the
 /// rows sum to the reported latency to the picosecond (checked here).
@@ -415,7 +318,7 @@ fn print_attribution(rec: &hswx_engine::SpanRecorder, walk: &hswx_engine::WalkRe
 fn explain_fig7(argv: &[String]) -> Result<(), String> {
     use hswx_bench::scenarios::{first_core_of, nth_core_of, LatencyScenario};
     use hswx_haswell::CoherenceMode::ClusterOnDie;
-    let flags = Flags::parse(argv, &[])?;
+    let flags = Flags::parse(argv, &["fwd", "home", "out"], &[])?;
     let size_kib: u64 = match flags.positional.first() {
         Some(s) => s.parse().map_err(|_| format!("bad size (KiB): {s}"))?,
         None => 128,
@@ -500,88 +403,6 @@ fn explain_fig7(_argv: &[String]) -> Result<(), String> {
         .into())
 }
 
-/// `hswx explain shard [--threads N] [--accesses N] [--mode M]` — run one
-/// batch sequentially and through the supervised sharded runtime, then
-/// decompose the wall-clock gap between the two into component rows that
-/// sum to the gap *exactly* (integer nanoseconds, checked here — the same
-/// contract `hswx explain fig7` makes for simulated time). Positive rows
-/// are shard-runtime cost the sequential path doesn't pay; the final row
-/// is the sharded dispatch wall minus the whole sequential run, so the
-/// signed total is exactly `sharded wall − sequential wall`.
-fn explain_shard(argv: &[String]) -> Result<(), String> {
-    use hswx_haswell::ShardConfig;
-    let flags = Flags::parse(argv, &[])?;
-    let mode = mode_of(&flags)?;
-    let threads = threads_of(&flags)?.unwrap_or(1);
-    let accesses = flags.get_parse("accesses", 512usize)?.max(1);
-
-    let cfg = SystemConfig::e5_2680_v3(mode);
-    let batch = shard_demo_batch(accesses, cfg.n_cores());
-
-    let mut seq = System::new(cfg.clone());
-    let t0 = std::time::Instant::now();
-    let want = seq.run_batch_seq(&batch);
-    let t_seq = t0.elapsed().as_nanos() as i64;
-
-    let mut sys = System::new(cfg);
-    let run = sys
-        .run_batch_sharded(&batch, &ShardConfig::with_threads(threads))
-        .map_err(|e| e.to_string())?;
-    if run.outcome != want || sys.state_digest() != seq.state_digest() {
-        return Err("internal: sharded run diverged from the sequential reference".into());
-    }
-
-    let ph = run.phases;
-    let tm = run.report.timing;
-    let t_shard = ph.total_ns() as i64;
-    let gap = t_shard - t_seq;
-    // Every row is host wall time measured by the runtime itself; the
-    // supervisor row is the plan phase minus its own accounted segments,
-    // so the rows reconstruct the phase sums without double counting.
-    let rows: [(&str, i64); 8] = [
-        ("partition (plan split)", ph.partition_ns as i64),
-        ("shard execution", tm.exec_ns as i64),
-        ("queue wait: delivery", tm.deliver_ns as i64),
-        ("queue wait: barrier routing", tm.route_ns as i64),
-        ("checkpointing", tm.checkpoint_ns as i64),
-        ("supervisor overhead", ph.plan_ns as i64 - tm.total_ns() as i64),
-        ("merge (reply reassembly)", ph.merge_ns as i64),
-        ("dispatch delta vs sequential", ph.dispatch_ns as i64 - t_seq),
-    ];
-
-    println!(
-        "{} access(es) under {}: sequential {:.3} us, sharded {:.3} us \
-         at {threads} worker thread(s)",
-        batch.len(),
-        sys.cfg.mode.label(),
-        t_seq as f64 / 1000.0,
-        t_shard as f64 / 1000.0,
-    );
-    println!(
-        "{} round(s), {} message(s), {} stall(s), {} restart(s); \
-         results bit-identical to sequential dispatch\n",
-        run.report.rounds, run.report.messages, run.report.stalls, run.report.restarts,
-    );
-    println!("shard-vs-sequential gap attribution (host wall clock):");
-    println!("  {:<30} {:>12}  {:>6}", "component", "ns", "share");
-    for (name, ns) in &rows {
-        println!(
-            "  {:<30} {:>12}  {:>5.1}%",
-            name,
-            ns,
-            if t_shard > 0 { 100.0 * *ns as f64 / t_shard as f64 } else { 0.0 },
-        );
-    }
-    let sum: i64 = rows.iter().map(|(_, ns)| ns).sum();
-    assert_eq!(sum, gap, "attribution rows must sum to the shard-vs-seq wall gap");
-    println!(
-        "  {:<30} {:>12}  (rows sum exactly to the gap)",
-        if gap >= 0 { "total gap (sharded slower)" } else { "total gap (sharded faster)" },
-        gap,
-    );
-    Ok(())
-}
-
 /// `hswx explain diff A B` — compare two runs' exports and localize the
 /// regression to named hardware components (see `hswx_bench::diffcmp`).
 /// `A`/`B` are metrics JSON files, or run directories holding
@@ -589,7 +410,7 @@ fn explain_shard(argv: &[String]) -> Result<(), String> {
 /// too); `--telemetry-a/-b` point at explicit telemetry CSVs.
 fn explain_diff(argv: &[String]) -> Result<(), String> {
     use hswx_bench::diffcmp;
-    let flags = Flags::parse(argv, &[])?;
+    let flags = Flags::parse(argv, &["telemetry-a", "telemetry-b"], &[])?;
     let [a, b] = flags.positional.as_slice() else {
         return Err("explain diff needs exactly two run paths (files or directories)".into());
     };
@@ -636,9 +457,7 @@ fn explain_diff(argv: &[String]) -> Result<(), String> {
 /// `hswx explain` — run one placed-state access with the protocol
 /// transcript armed and print the steps in order. The `fig7` form
 /// instead traces the Figure 7 anomaly point (see [`explain_fig7`]); the
-/// `diff` form compares two runs' exports (see [`explain_diff`]); the
-/// `shard` form attributes the sharded-vs-sequential wall gap (see
-/// [`explain_shard`]).
+/// `diff` form compares two runs' exports (see [`explain_diff`]).
 pub fn explain(argv: &[String]) -> Result<(), String> {
     if argv.first().map(String::as_str) == Some("fig7") {
         return explain_fig7(&argv[1..]);
@@ -646,10 +465,10 @@ pub fn explain(argv: &[String]) -> Result<(), String> {
     if argv.first().map(String::as_str) == Some("diff") {
         return explain_diff(&argv[1..]);
     }
-    if argv.first().map(String::as_str) == Some("shard") {
-        return explain_shard(&argv[1..]);
+    let flags = Flags::parse(argv, SCENARIO_FLAGS, &[])?;
+    if let Some(form) = flags.positional.first() {
+        return Err(format!("unknown explain form {form} (fig7|diff, or latency flags)"));
     }
-    let flags = Flags::parse(argv, &[])?;
     let mode = mode_of(&flags)?;
     let level = level_of(&flags)?;
     let state = state_of(&flags)?;
@@ -724,7 +543,7 @@ fn describe(step: &hswx_haswell::ProtoStep) -> String {
 
 /// `hswx replay FILE` — replay a memory trace.
 pub fn replay(argv: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(argv, &[])?;
+    let flags = Flags::parse(argv, &["mode", "window"], &[])?;
     let path = flags
         .positional
         .first()
@@ -746,7 +565,8 @@ pub fn replay(argv: &[String]) -> Result<(), String> {
 /// `hswx faultcheck` — run the seeded fault-injection campaign and print
 /// the detection-coverage matrix. Exits nonzero on any detection gap.
 pub fn faultcheck(argv: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(argv, &["quick"])?;
+    let flags =
+        Flags::parse(argv, &["plan", "seed", "trials", "classes", "json"], &["quick"])?;
     let mut plan = if let Some(path) = flags.map_get("plan") {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
         FaultPlan::from_text(&text).map_err(|e| format!("{path}: {e}"))?
@@ -784,7 +604,21 @@ pub fn faultcheck(argv: &[String]) -> Result<(), String> {
 /// supervised campaign runtime (dependency queue, watchdog deadlines,
 /// bounded retry, crash-safe journal). See `hswx_bench::supervisor`.
 pub fn campaign(argv: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(argv, &["resume", "fsync", "degraded"])?;
+    let flags = Flags::parse(
+        argv,
+        &[
+            "out",
+            "journal",
+            "telemetry",
+            "seed",
+            "attempts",
+            "deadline-ms",
+            "time-budget-ms",
+            "jobs",
+            "metrics-json",
+        ],
+        &["resume", "fsync", "degraded"],
+    )?;
     let out_dir = flags.get("out", "results").to_string();
     let mut cfg = hswx_bench::SupervisorConfig {
         out_dir: out_dir.clone().into(),
@@ -799,9 +633,6 @@ pub fn campaign(argv: &[String]) -> Result<(), String> {
     };
     let telemetry_base = flags.map_get("telemetry").map(str::to_string);
     cfg.telemetry = telemetry_base.is_some();
-    if let Some(n) = threads_of(&flags)? {
-        cfg.threads = n;
-    }
     cfg.seed = flags.get_parse("seed", cfg.seed)?;
     cfg.max_attempts = flags.get_parse("attempts", cfg.max_attempts)?;
     if cfg.max_attempts == 0 {
@@ -928,19 +759,12 @@ fn budget_of(s: &str) -> Result<std::time::Duration, String> {
 /// cancellation storms, all under the strict invariant monitor. Exits
 /// nonzero on any monitor violation or snapshot mismatch.
 pub fn soak(argv: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(argv, &[])?;
+    let flags = Flags::parse(argv, &["budget", "seed", "out", "report", "metrics-json"], &[])?;
     let budget = budget_of(flags.get("budget", "30s"))?;
-    let scenario = match flags.map_get("scenario") {
-        Some(name) => hswx_verify::SoakScenario::from_name(name)
-            .ok_or_else(|| format!("unknown --scenario {name} (mixed|shard-chaos)"))?,
-        None => hswx_verify::SoakScenario::Mixed,
-    };
     let cfg = hswx_verify::SoakConfig {
         budget,
         seed: flags.get_parse("seed", 0xC0FFEEu64)?,
         out_dir: flags.map_get("out").map(std::path::PathBuf::from),
-        scenario,
-        threads: threads_of(&flags)?,
     };
     let report = hswx_verify::run_soak(&cfg);
     print!("{report}");
@@ -982,8 +806,11 @@ pub fn soak(argv: &[String]) -> Result<(), String> {
 ///   `BENCH_history.jsonl` entry against each kernel's trailing median
 ///   (nonzero exit when any kernel fell more than the tolerance below it).
 pub fn perfbench(argv: &[String]) -> Result<(), String> {
-    let flags =
-        Flags::parse(argv, &["quick", "write-baseline", "no-history", "check-history"])?;
+    let flags = Flags::parse(
+        argv,
+        &["baseline", "tolerance", "history", "out"],
+        &["quick", "write-baseline", "no-history", "check-history"],
+    )?;
     let quick = flags.has("quick");
     let baseline_path = flags.get("baseline", "BENCH_perf.json").to_string();
     let tolerance = flags.get_parse("tolerance", 30.0f64)? / 100.0;
@@ -1024,18 +851,6 @@ pub fn perfbench(argv: &[String]) -> Result<(), String> {
     eprintln!("running {} perfbench suite...", if quick { "quick" } else { "full" });
     let report = hswx_bench::perf::run(quick);
     print!("{}", report.to_text());
-
-    // Focused sharded-walk probe at an arbitrary (validated) thread
-    // count. Informational only: the baseline gate tracks the fixed
-    // 1/2/8-thread kernels, so an unusual probe can't fail CI.
-    if let Some(n) = threads_of(&flags)? {
-        let iters = if quick { 20_000 } else { 200_000 };
-        let k = hswx_bench::perf::shard_probe(n, iters);
-        println!(
-            "  probe {:>22} {:>12.0} walks/s ({} walks, {n} threads, ungated)",
-            k.name, k.walks_per_sec, k.walks
-        );
-    }
 
     // Append a dated, sha-stamped JSONL entry so walks/sec is queryable
     // over time, not just gated against the last committed baseline.
@@ -1106,7 +921,7 @@ pub fn perfbench(argv: &[String]) -> Result<(), String> {
 /// for logs, pipes, and tests.
 pub fn top(argv: &[String]) -> Result<(), String> {
     use std::io::Write;
-    let flags = Flags::parse(argv, &["plain", "once"])?;
+    let flags = Flags::parse(argv, &["dir", "interval-ms", "frames"], &["plain", "once"])?;
     let dir = std::path::PathBuf::from(flags.get("dir", "results"));
     let path = dir.join("heartbeat.txt");
     let interval =
@@ -1150,7 +965,6 @@ pub fn top(argv: &[String]) -> Result<(), String> {
             crate::top::Ingest::Frame(hb) => {
                 unreadable = 0;
                 history.observe(&hb.metrics);
-                history.observe_lanes(&hb.shard_lanes);
                 let frame = crate::top::render_frame(&hb, &history, plain);
                 if plain {
                     println!("{frame}");
@@ -1170,7 +984,7 @@ pub fn top(argv: &[String]) -> Result<(), String> {
 
 /// `hswx apps` — the SPEC-proxy comparison (paper Fig. 10).
 pub fn apps(argv: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(argv, &[])?;
+    let flags = Flags::parse(argv, &["accesses"], &[])?;
     let accesses = flags.get_parse("accesses", 1500usize)?;
     println!("{:<22} {:>8} {:>8} {:>8}", "application", "source", "home", "cod");
     for app in hswx_workloads::omp2012_proxies()

@@ -8,9 +8,8 @@
 //! hswx bandwidth [same flags] [--width avx|sse] [--write|--write-nt]
 //! hswx replay    FILE [--mode MODE] [--window N]
 //! hswx trace     [latency flags] [--accesses N] [--out FILE]
-//!                | trace --threads N (cross-shard Perfetto flow trace)
 //! hswx explain   [latency flags] | explain fig7 [SIZE_KIB] [--fwd N] [--home N]
-//!                | explain diff A B | explain shard [--threads N]
+//!                | explain diff A B
 //! hswx apps      [--accesses N]
 //! hswx faultcheck [--quick] [--json FILE]
 //! hswx campaign  [--resume] [--time-budget-ms N] [--jobs a,b,..]

@@ -11,7 +11,7 @@
 //! terminal; the command loop owns the polling, ANSI clearing, and exit
 //! condition (status leaves `running`, or `--frames` is exhausted).
 
-use hswx_engine::{Heartbeat, ShardBeat};
+use hswx_engine::Heartbeat;
 use std::collections::BTreeMap;
 
 /// Consecutive unreadable polls the command loop tolerates before giving
@@ -58,10 +58,6 @@ pub struct History {
     last: BTreeMap<String, u64>,
     /// Recent per-frame deltas, oldest first, capped at [`SPARK_WIDTH`].
     deltas: BTreeMap<String, Vec<u64>>,
-    /// Per-shard-lane queue-depth samples (raw gauge values, not deltas:
-    /// a queue depth is a level, so the sparkline plots it directly),
-    /// oldest first, capped at [`SPARK_WIDTH`].
-    lanes: BTreeMap<u64, Vec<u64>>,
 }
 
 impl History {
@@ -84,45 +80,24 @@ impl History {
         }
     }
 
-    /// Record one frame of per-lane shard health: queue-depth high-water
-    /// marks feed gauge sparklines (raw values, unlike the counter
-    /// deltas above).
-    pub fn observe_lanes(&mut self, lanes: &[ShardBeat]) {
-        for lane in lanes {
-            let series = self.lanes.entry(lane.shard).or_default();
-            series.push(lane.queue_hwm);
-            if series.len() > SPARK_WIDTH {
-                let excess = series.len() - SPARK_WIDTH;
-                series.drain(..excess);
-            }
-        }
-    }
-
     fn sparkline(&self, name: &str, plain: bool) -> String {
-        self.deltas.get(name).map(|s| ramped(s, plain)).unwrap_or_default()
+        let ramp = if plain { BARS_ASCII } else { BARS_UNICODE };
+        let Some(series) = self.deltas.get(name) else { return String::new() };
+        let max = series.iter().copied().max().unwrap_or(0);
+        series
+            .iter()
+            .map(|&d| {
+                if max == 0 {
+                    ramp[0]
+                } else {
+                    // Scale into the ramp; any nonzero delta gets at
+                    // least the second glyph so activity never renders
+                    // as dead-flat.
+                    ramp[(((d * 7).div_ceil(max)) as usize).clamp(usize::from(d > 0), 7)]
+                }
+            })
+            .collect()
     }
-
-    /// Queue-depth sparkline for one shard lane.
-    pub fn lane_sparkline(&self, shard: u64, plain: bool) -> String {
-        self.lanes.get(&shard).map(|s| ramped(s, plain)).unwrap_or_default()
-    }
-}
-
-/// Scale a value series into the glyph ramp. Any nonzero value gets at
-/// least the second glyph so activity never renders as dead-flat.
-fn ramped(series: &[u64], plain: bool) -> String {
-    let ramp = if plain { BARS_ASCII } else { BARS_UNICODE };
-    let max = series.iter().copied().max().unwrap_or(0);
-    series
-        .iter()
-        .map(|&d| {
-            if max == 0 {
-                ramp[0]
-            } else {
-                ramp[(((d * 7).div_ceil(max)) as usize).clamp(usize::from(d > 0), 7)]
-            }
-        })
-        .collect()
 }
 
 fn fmt_duration_ms(ms: u64) -> String {
@@ -183,34 +158,6 @@ pub fn render_frame(hb: &Heartbeat, history: &History, plain: bool) -> String {
         }
     }
     s.push('\n');
-    // Shard health — only sharded drivers emit these keys, so the line
-    // never clutters single-lane campaigns.
-    if hb.shards > 0 || hb.shard_restarts > 0 {
-        s.push_str(&format!(
-            "  shards: {} lanes, {} restart{} recovered\n",
-            hb.shards,
-            hb.shard_restarts,
-            if hb.shard_restarts == 1 { "" } else { "s" },
-        ));
-    }
-    // Per-lane panel: one row per shard with a queue-depth sparkline
-    // (gauge levels, not deltas). Only sharded drivers emit lane lines,
-    // so single-lane dashboards never show the panel.
-    if !hb.shard_lanes.is_empty() {
-        s.push_str("  shard lanes (queue-depth high-water):\n");
-        for lane in &hb.shard_lanes {
-            s.push_str(&format!(
-                "    lane {:<3} {:<width$} hwm {:>6}  msgs {:>9}  stalls {:>5}  restarts {:>3}\n",
-                lane.shard,
-                history.lane_sparkline(lane.shard, plain),
-                lane.queue_hwm,
-                lane.msgs,
-                lane.stalls,
-                lane.restarts,
-                width = SPARK_WIDTH,
-            ));
-        }
-    }
     if !hb.metrics.is_empty() {
         s.push_str("  component activity (per poll):\n");
         for (name, total) in &hb.metrics {
@@ -319,36 +266,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_lane_panel_renders_gauge_sparklines() {
-        let mut history = History::default();
-        let mut h = Heartbeat::start("soak", 0);
-        h.shards = 2;
-        h.shard_lanes = vec![
-            ShardBeat { shard: 0, restarts: 1, stalls: 4, queue_hwm: 96, msgs: 1024 },
-            ShardBeat { shard: 1, queue_hwm: 2, msgs: 7, ..ShardBeat::default() },
-        ];
-        history.observe_lanes(&h.shard_lanes);
-        h.shard_lanes[0].queue_hwm = 12; // queue drained between polls
-        history.observe_lanes(&h.shard_lanes);
-        let out = render_frame(&h, &history, true);
-        assert!(out.contains("shard lanes"), "{out}");
-        let lane0 = out.lines().find(|l| l.contains("lane 0")).unwrap();
-        // Gauge series [96, 12]: the high sample draws the top glyph,
-        // the drained one a lower glyph — raw levels, not deltas.
-        assert!(lane0.contains('#'), "{lane0}");
-        assert!(lane0.contains("restarts   1"), "{lane0}");
-        assert!(out.lines().any(|l| l.contains("lane 1")), "{out}");
-        // Lane history is bounded like the metric sparklines.
-        for _ in 0..200 {
-            history.observe_lanes(&h.shard_lanes);
-        }
-        assert_eq!(history.lanes[&0].len(), SPARK_WIDTH);
-        // No lanes, no panel.
-        h.shard_lanes.clear();
-        assert!(!render_frame(&h, &History::default(), true).contains("shard lanes"));
-    }
-
-    #[test]
     fn durations_format_across_scales() {
         assert_eq!(fmt_duration_ms(800), "0.8s");
         assert_eq!(fmt_duration_ms(61_000), "1m01s");
@@ -362,17 +279,5 @@ mod tests {
         let out = render_frame(&h, &History::default(), true);
         assert!(out.contains("7 rounds"), "{out}");
         assert!(!out.contains('/'), "{out}");
-    }
-
-    #[test]
-    fn shard_health_line_appears_only_for_sharded_drivers() {
-        let mut h = Heartbeat::start("soak", 0);
-        h.done = 3;
-        let out = render_frame(&h, &History::default(), true);
-        assert!(!out.contains("shards:"), "{out}");
-        h.shards = 2;
-        h.shard_restarts = 1;
-        let out = render_frame(&h, &History::default(), true);
-        assert!(out.contains("shards: 2 lanes, 1 restart recovered"), "{out}");
     }
 }

@@ -132,6 +132,21 @@ fn campaign_exits_nonzero_when_a_job_fails() {
 }
 
 #[test]
+fn campaign_rejects_unknown_flags_before_running() {
+    // `--threads` is not a campaign flag: it must fail loudly rather
+    // than run the campaign with the flag silently ignored.
+    let dir = fresh_dir("badflag");
+    let out = hswx()
+        .args(campaign_args(&dir, &["--threads", "2"]))
+        .output()
+        .expect("spawn campaign");
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown flag --threads"), "{stderr}");
+    assert!(!dir.exists(), "nothing may run before flags are checked");
+}
+
+#[test]
 fn time_budget_degrades_deterministically() {
     // --degraded (force) and an already-exhausted budget must agree on
     // the shed outputs, so degraded reruns are reproducible.

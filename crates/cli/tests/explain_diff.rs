@@ -1,7 +1,8 @@
-//! Error-path coverage for `hswx explain diff`: every malformed input
-//! must surface as a typed error on stderr with a nonzero exit — never a
-//! panic, never a silent success — and the degenerate-but-valid cases
-//! (schema 1 vs 2, empty counter sets) must diff cleanly.
+//! Error-path coverage for `hswx explain diff` and the `explain` form
+//! dispatch: every malformed input must surface as a typed error on
+//! stderr with a nonzero exit — never a panic, never a silent success —
+//! and the degenerate-but-valid cases (schema 1 vs 2, empty counter sets)
+//! must diff cleanly.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -119,4 +120,12 @@ fn wrong_arity_reports_usage_error() {
     assert!(!out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("exactly two run paths"), "{stderr}");
+}
+
+#[test]
+fn unknown_explain_form_is_an_error() {
+    let out = hswx().args(["explain", "bogus"]).output().unwrap();
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown explain form bogus"), "{stderr}");
 }

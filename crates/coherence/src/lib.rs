@@ -20,9 +20,6 @@
 //!   under source snooping, home snooping, or home snooping + directory.
 //! * [`link`] — the QPI link layer's CRC-retransmit rules: bounded retries
 //!   that recover corrupted flits transparently, paying only latency.
-//! * [`msg`] — typed link-level messages ([`CoherenceMsg`]: snoops, home
-//!   agent requests, fills, QPI transfers) exchanged between the sharded
-//!   runtime's per-NUMA-node fault domains.
 //!
 //! The `hswx-haswell` crate drives these rules inside the discrete-event
 //! system and attaches latencies/bandwidths to each step.
@@ -32,7 +29,6 @@ pub mod dir;
 pub mod hitme;
 pub mod l3meta;
 pub mod link;
-pub mod msg;
 pub mod presence;
 pub mod state;
 
@@ -44,7 +40,6 @@ pub use decision::{
 pub use hitme::HitMeEntry;
 pub use dir::InMemoryDirectory;
 pub use link::{LinkOutcome, LinkRetryPolicy};
-pub use msg::CoherenceMsg;
 pub use hitme::HitMeCache;
 pub use l3meta::L3Meta;
 pub use presence::NodeSet;

@@ -162,22 +162,20 @@ pub struct BatchScratch {
     /// Per-access, per-node CBo slice: entry `i * n_nodes + k` is where
     /// node `k` would cache access `i`'s line. Consumed by the lookahead
     /// prefetcher (the requesting node's CA probe plus peer-probe peeks).
-    /// The sharded planner (`crate::shard`) assembles this table from
-    /// per-shard staging messages instead of the flat staging pass.
-    pub(crate) slices: Vec<SliceId>,
+    slices: Vec<SliceId>,
     /// Home node of each access's line (staged in debug builds, where
     /// the dispatch loop cross-checks it against the walk's own
     /// resolution).
-    pub(crate) home: Vec<NodeId>,
+    home: Vec<NodeId>,
     /// Home agent of each access's line (debug builds).
-    pub(crate) ha: Vec<HaId>,
+    ha: Vec<HaId>,
     /// Core→own-slice ring stop distance (hops), from the precomputed
     /// distance tables (debug builds).
-    pub(crate) dist: Vec<u32>,
+    dist: Vec<u32>,
 }
 
 impl BatchScratch {
-    pub(crate) fn clear(&mut self) {
+    fn clear(&mut self) {
         self.slices.clear();
         self.home.clear();
         self.ha.clear();
@@ -260,21 +258,7 @@ impl System {
     /// stalls that otherwise serialize consecutive walks.
     pub fn run_batch(&mut self, batch: &[Access]) -> BatchOutcome {
         self.stage_batch(batch);
-        self.run_batch_prefetched(batch)
-    }
-
-    /// The prefetching dispatch loop over an already-staged batch: the
-    /// tail of [`run_batch`](Self::run_batch), shared with the sharded
-    /// planner (`crate::shard`), which fills `batch_scratch.slices` from
-    /// per-shard staging messages before calling this.
-    ///
-    /// Requires `batch_scratch.slices` to hold `batch.len() * n_nodes`
-    /// entries (and the debug arrays one entry per access in debug
-    /// builds, unless empty — the sharded path stages release-shape
-    /// data only, so empty debug arrays skip the cross-checks).
-    pub(crate) fn run_batch_prefetched(&mut self, batch: &[Access]) -> BatchOutcome {
         let n_nodes = self.topo.n_nodes() as usize;
-        debug_assert_eq!(self.batch_scratch.slices.len(), batch.len() * n_nodes);
         let mut replies = Vec::with_capacity(batch.len());
         let mut prev_done = SimTime::ZERO;
         for i in 0..batch.len().min(LOOKAHEAD) {
@@ -287,7 +271,7 @@ impl System {
             // The staged topology must agree with what the walk itself
             // resolves — the SoA pass is a pure re-derivation.
             #[cfg(debug_assertions)]
-            if !self.batch_scratch.home.is_empty() {
+            {
                 debug_assert_eq!(self.batch_scratch.home[i], self.topo.home_node_of_line(a.line));
                 debug_assert_eq!(self.batch_scratch.ha[i], self.topo.ha_for_line(a.line));
                 debug_assert!(self.batch_scratch.dist[i] < u32::MAX);

@@ -27,11 +27,6 @@ pub const MAX_HITME_ENTRIES: u32 = 1 << 20;
 /// Upper bound on DRAM banks per channel.
 pub const MAX_DRAM_BANKS: u32 = 1 << 16;
 
-/// Upper bound on worker threads for the sharded runtime (`--threads`).
-/// Shard rounds are distributed over at most one thread per NUMA-node
-/// shard anyway, so anything past a few hundred is a typo, not a plan.
-pub const MAX_SHARD_THREADS: usize = 512;
-
 /// A [`SystemConfig`] field (or combination) that the simulator cannot
 /// model. Returned by [`SystemConfig::validate`] and
 /// [`crate::System::try_new`] instead of panicking mid-construction, so
@@ -84,13 +79,6 @@ pub enum ConfigError {
         /// Why it was rejected.
         reason: &'static str,
     },
-    /// Sharded-runtime worker thread count out of range (`--threads`).
-    Threads {
-        /// The rejected thread count.
-        got: usize,
-        /// Why it was rejected.
-        reason: &'static str,
-    },
 }
 
 impl fmt::Display for ConfigError {
@@ -121,9 +109,6 @@ impl fmt::Display for ConfigError {
             ),
             ConfigError::HitMe { entries, reason } => {
                 write!(f, "hitme_entries: {entries} rejected: {reason}")
-            }
-            ConfigError::Threads { got, reason } => {
-                write!(f, "threads: {got} rejected: {reason}")
             }
         }
     }

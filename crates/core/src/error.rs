@@ -10,7 +10,6 @@
 use crate::monitor::Violation;
 use crate::system::ProtoStep;
 use hswx_coherence::{CaAction, ReqType};
-use hswx_engine::shard::ShardFailureKind;
 use hswx_engine::SimTime;
 use hswx_mem::{CoreId, LineAddr};
 use std::fmt;
@@ -94,25 +93,6 @@ pub enum SimError {
         /// Protocol steps recorded for the failing access.
         transcript: Vec<(SimTime, ProtoStep)>,
     },
-    /// A shard of the sharded batch runtime exhausted its recovery
-    /// options (restart budget spent, or a deterministic queue
-    /// overflow). The batch is aborted *before* any dispatch, so no
-    /// simulated state was touched — the failure is contained to this
-    /// typed error.
-    ShardFailed {
-        /// Failing shard (NUMA-node index).
-        shard: u16,
-        /// Terminal failure class.
-        kind: ShardFailureKind,
-        /// Restarts attempted before giving up.
-        restarts: u32,
-        /// Rendered panic payload / overflow description.
-        detail: String,
-        /// Always empty: the failure happens in the planning phase,
-        /// before any walk runs. Kept so every variant carries a
-        /// transcript slot.
-        transcript: Vec<(SimTime, ProtoStep)>,
-    },
 }
 
 impl SimError {
@@ -124,8 +104,7 @@ impl SimError {
             | SimError::WalkWatchdog { transcript, .. }
             | SimError::Poisoned { transcript, .. }
             | SimError::QpiLinkFailure { transcript, .. }
-            | SimError::Cancelled { transcript, .. }
-            | SimError::ShardFailed { transcript, .. } => transcript,
+            | SimError::Cancelled { transcript, .. } => transcript,
         }
     }
 
@@ -185,12 +164,6 @@ impl fmt::Display for SimError {
             SimError::Cancelled { core, line, .. } => write!(
                 f,
                 "run cancelled by supervisor before access by core {core:?} to line {line:?}"
-            ),
-            SimError::ShardFailed { shard, kind, restarts, detail, .. } => write!(
-                f,
-                "shard {shard} failed ({}) after {restarts} restart(s), batch aborted \
-                 before dispatch: {detail}",
-                kind.name()
             ),
         }
     }

@@ -128,12 +128,6 @@ pub struct RecoveryStats {
     pub hitme_retries: u64,
     /// Walks aborted because they touched a poisoned line.
     pub poison_blocked: u64,
-    /// Sharded-runtime shard restarts (panic or watchdog kill healed by
-    /// restart-from-snapshot + message-log replay; see `crate::shard`).
-    pub shard_restarts: u64,
-    /// Shard restarts caused by the per-shard watchdog (subset of
-    /// `shard_restarts`).
-    pub shard_watchdog_kills: u64,
 }
 
 impl RecoveryStats {
@@ -144,7 +138,6 @@ impl RecoveryStats {
             + self.dir_retries
             + self.hitme_retries
             + self.poison_blocked
-            + self.shard_restarts
     }
 }
 

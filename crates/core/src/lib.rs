@@ -26,10 +26,6 @@
 //! * [`system`] — the simulated machine and its transaction walks.
 //! * [`batch`] — the pipelined batch-walk engine (SoA staging + lookahead
 //!   prefetch), bit-identical to sequential dispatch.
-//! * [`shard`] — the supervised sharded batch runtime: per-NUMA-node
-//!   fault domains exchanging typed coherence messages, with
-//!   deterministic backpressure and restart-from-snapshot recovery —
-//!   still bit-identical to sequential dispatch at any thread count.
 //! * [`error`] / [`monitor`] / [`inject`] — typed simulation errors, the
 //!   runtime invariant monitor, and the fault-injection hooks that make
 //!   every simulation self-checking.
@@ -48,7 +44,6 @@ pub mod microbench;
 pub mod monitor;
 pub mod placement;
 pub mod report;
-pub mod shard;
 pub mod snapshot;
 pub mod spec;
 pub mod system;
@@ -61,6 +56,4 @@ pub use monitor::{MonitorConfig, Violation};
 pub use snapshot::SYSTEM_SNAPSHOT_SCHEMA;
 pub use placement::{PlacedState, Placement};
 pub use batch::{Access, AccessOp, BatchOutcome, BatchReply, Issue, BATCH_CHUNK};
-pub use config::MAX_SHARD_THREADS;
-pub use shard::{ShardConfig, ShardFaultPlan, ShardPhases, ShardedBatch, SHARD_PLAN_SCHEMA};
 pub use system::{AccessOutcome, ProtoStep, Stats, System};

@@ -44,10 +44,11 @@ use std::path::Path;
 /// buckets.
 ///
 /// v3 appended the sharded-runtime recovery counters
-/// (`RecoveryStats::shard_restarts` / `shard_watchdog_kills`) so shard
-/// recovery cost survives snapshot/restore like every other recovery
-/// class.
-pub const SYSTEM_SNAPSHOT_SCHEMA: u32 = 3;
+/// (`RecoveryStats::shard_restarts` / `shard_watchdog_kills`).
+///
+/// v4 dropped those two counters again, together with the sharded
+/// runtime that produced them.
+pub const SYSTEM_SNAPSHOT_SCHEMA: u32 = 4;
 
 fn corrupt(what: &'static str, detail: String) -> SnapshotError {
     SnapshotError::Corrupt { what, detail }
@@ -532,8 +533,6 @@ impl System {
         w.u64(self.recovery.dir_retries);
         w.u64(self.recovery.hitme_retries);
         w.u64(self.recovery.poison_blocked);
-        w.u64(self.recovery.shard_restarts);
-        w.u64(self.recovery.shard_watchdog_kills);
 
         // `walk_snoop_base` is deliberately absent: it is per-walk scratch
         // (every walk's prologue overwrites it) and snapshots are only
@@ -688,8 +687,6 @@ impl System {
         sys.recovery.dir_retries = r.u64()?;
         sys.recovery.hitme_retries = r.u64()?;
         sys.recovery.poison_blocked = r.u64()?;
-        sys.recovery.shard_restarts = r.u64()?;
-        sys.recovery.shard_watchdog_kills = r.u64()?;
 
         for b in sys.fanout_bins.iter_mut() {
             *b = r.u64()?;
@@ -817,6 +814,19 @@ mod tests {
         for cut in (0..frame.len()).step_by(8) {
             assert!(System::restore(&frame[..cut]).is_err());
         }
+    }
+
+    #[test]
+    fn schema_3_frames_are_rejected_by_version() {
+        // v3 frames carry two recovery counters this layout no longer
+        // reads: restore must refuse them up front, not misparse them.
+        let mut w = SnapWriter::new(3);
+        w.u64(0);
+        let err = System::restore(&w.finish()).err();
+        assert!(
+            matches!(err, Some(SnapshotError::UnsupportedSchema { found: 3, expected: 4 })),
+            "{err:?}"
+        );
     }
 
     #[test]

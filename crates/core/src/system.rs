@@ -54,7 +54,7 @@ impl AccessOutcome {
 }
 
 /// Event counters exposed by the system (the simulator's "uncore PMU").
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default)]
 pub struct Stats {
     /// Completed reads per data source. Fx-hashed: bumped on every read.
     pub reads_by_source: FxHashMap<DataSource, u64>,
@@ -253,10 +253,8 @@ pub struct System {
     #[cfg(feature = "trace")]
     telemetry_hub: Option<std::sync::Arc<TelemetryHub>>,
     /// Ambient metrics registry captured at construction (see
-    /// `hswx_engine::metrics`); `None` outside supervised runs. Crate
-    /// visibility: the sharded batch path (`crate::shard`) publishes
-    /// its supervision counters through the same registry.
-    pub(crate) metrics: Option<std::sync::Arc<MetricsRegistry>>,
+    /// `hswx_engine::metrics`); `None` outside supervised runs.
+    metrics: Option<std::sync::Arc<MetricsRegistry>>,
     /// `stats.snoops_sent` at walk start (snoop fan-out accounting).
     pub(crate) walk_snoop_base: u64,
     /// Recycled peer-probe collection for node-level misses: taken at the
@@ -864,8 +862,6 @@ impl System {
         reg.add("recovery.dir_retries", self.recovery.dir_retries);
         reg.add("recovery.hitme_retries", self.recovery.hitme_retries);
         reg.add("recovery.poison_blocked", self.recovery.poison_blocked);
-        reg.add("recovery.shard_restarts", self.recovery.shard_restarts);
-        reg.add("recovery.shard_watchdog_kills", self.recovery.shard_watchdog_kills);
     }
 
     // ------------------------------------------------------------------

@@ -33,58 +33,6 @@ use crate::fsio::atomic_write;
 /// Format version written in the first line.
 pub const HEARTBEAT_MAGIC: &str = "hswx-heartbeat v1";
 
-/// One shard lane's health snapshot, carried as a repeatable
-/// space-separated `shard=` line:
-///
-/// ```text
-/// shard=0 restarts=1 stalls=4 queue_hwm=96 msgs=1024
-/// ```
-///
-/// Fields after the lane id are themselves `key=value` pairs, so lanes
-/// can grow fields without breaking older readers (unknown pairs are
-/// skipped, like unknown top-level keys).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ShardBeat {
-    /// Lane (shard) id.
-    pub shard: u64,
-    /// Restarts recovered on this lane.
-    pub restarts: u64,
-    /// Backpressure stall events on this lane.
-    pub stalls: u64,
-    /// Outbound queue-depth high-water mark.
-    pub queue_hwm: u64,
-    /// Messages this lane emitted.
-    pub msgs: u64,
-}
-
-impl ShardBeat {
-    fn to_line(&self) -> String {
-        format!(
-            "shard={} restarts={} stalls={} queue_hwm={} msgs={}\n",
-            self.shard, self.restarts, self.stalls, self.queue_hwm, self.msgs
-        )
-    }
-
-    /// Parse the value side of a `shard=` line. `None` on anything
-    /// malformed — a skippable line, never a parse error.
-    fn parse(v: &str) -> Option<ShardBeat> {
-        let mut fields = v.split_whitespace();
-        let mut beat = ShardBeat { shard: fields.next()?.parse().ok()?, ..ShardBeat::default() };
-        for pair in fields {
-            let Some((k, val)) = pair.split_once('=') else { continue };
-            let Ok(val) = val.parse() else { continue };
-            match k {
-                "restarts" => beat.restarts = val,
-                "stalls" => beat.stalls = val,
-                "queue_hwm" => beat.queue_hwm = val,
-                "msgs" => beat.msgs = val,
-                _ => {} // forward compatibility
-            }
-        }
-        Some(beat)
-    }
-}
-
 /// One progress frame of a long-running driver.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Heartbeat {
@@ -106,12 +54,6 @@ pub struct Heartbeat {
     pub retries: u64,
     /// Naive linear completion estimate, once `done > 0`.
     pub eta_ms: Option<u64>,
-    /// Shards the current work unit runs (0 = not a sharded driver).
-    pub shards: u64,
-    /// Cumulative shard restarts recovered so far (0 = none, omitted).
-    pub shard_restarts: u64,
-    /// Per-lane shard health, in lane order (empty = omitted).
-    pub shard_lanes: Vec<ShardBeat>,
     /// Cumulative counter totals, sorted by name.
     pub metrics: Vec<(String, u64)>,
 }
@@ -153,17 +95,6 @@ impl Heartbeat {
         if let Some(eta) = self.eta_ms {
             out.push_str(&format!("eta_ms={eta}\n"));
         }
-        // Shard keys are emitted only by sharded drivers, so heartbeats
-        // from single-lane runs stay byte-identical to the v1 layout.
-        if self.shards > 0 {
-            out.push_str(&format!("shards={}\n", self.shards));
-        }
-        if self.shard_restarts > 0 {
-            out.push_str(&format!("shard_restarts={}\n", self.shard_restarts));
-        }
-        for lane in &self.shard_lanes {
-            out.push_str(&lane.to_line());
-        }
         for (name, v) in &self.metrics {
             out.push_str(&format!("metric={name} {v}\n"));
         }
@@ -190,13 +121,6 @@ impl Heartbeat {
                 "jobs_inflight" => hb.inflight = v.parse().unwrap_or(0),
                 "retries" => hb.retries = v.parse().unwrap_or(0),
                 "eta_ms" => hb.eta_ms = v.parse().ok(),
-                "shards" => hb.shards = v.parse().unwrap_or(0),
-                "shard_restarts" => hb.shard_restarts = v.parse().unwrap_or(0),
-                "shard" => {
-                    if let Some(beat) = ShardBeat::parse(v) {
-                        hb.shard_lanes.push(beat);
-                    }
-                }
                 "metric" => {
                     if let Some((name, val)) = v.split_once(' ') {
                         if let Ok(val) = val.parse() {
@@ -258,40 +182,15 @@ mod tests {
     }
 
     #[test]
-    fn shard_keys_roundtrip_and_are_omitted_when_zero() {
-        let mut hb = Heartbeat::start("soak", 4);
-        assert!(!hb.to_text().contains("shards="), "zero shard keys must be omitted");
-        hb.shards = 2;
-        hb.shard_restarts = 3;
-        let text = hb.to_text();
-        assert!(text.contains("shards=2") && text.contains("shard_restarts=3"), "{text}");
-        assert_eq!(Heartbeat::parse(&text).unwrap(), hb);
-    }
-
-    #[test]
-    fn shard_lane_lines_roundtrip_and_tolerate_future_fields() {
-        let mut hb = Heartbeat::start("soak", 0);
-        assert!(!hb.to_text().contains("shard="), "no lanes, no lane lines");
-        hb.shards = 2;
-        hb.shard_lanes = vec![
-            ShardBeat { shard: 0, restarts: 1, stalls: 4, queue_hwm: 96, msgs: 1024 },
-            ShardBeat { shard: 1, queue_hwm: 12, msgs: 7, ..ShardBeat::default() },
-        ];
-        let text = hb.to_text();
-        assert!(text.contains("shard=0 restarts=1 stalls=4 queue_hwm=96 msgs=1024\n"), "{text}");
-        assert_eq!(Heartbeat::parse(&text).unwrap(), hb);
-        // A future writer adding lane fields must not break this reader.
-        let future = format!("{HEARTBEAT_MAGIC}\nshard=3 msgs=9 wobble=1.5 queue_hwm=2\n");
-        let hb = Heartbeat::parse(&future).unwrap();
-        assert_eq!(
-            hb.shard_lanes,
-            vec![ShardBeat { shard: 3, msgs: 9, queue_hwm: 2, ..ShardBeat::default() }]
+    fn legacy_shard_lines_parse_and_are_skipped() {
+        // Heartbeats from older writers carried `shards=` totals and
+        // repeatable `shard=` lane lines; they must still parse.
+        let legacy = format!(
+            "{HEARTBEAT_MAGIC}\nkind=soak\nshards=2\nshard_restarts=3\n\
+             shard=0 restarts=1 stalls=4 queue_hwm=96 msgs=1024\nshard=x\njobs_done=2\n"
         );
-        // Malformed lane lines are skipped, not parse errors.
-        let bad = format!("{HEARTBEAT_MAGIC}\nshard=\nshard=x msgs=1\njobs_done=2\n");
-        let hb = Heartbeat::parse(&bad).unwrap();
-        assert!(hb.shard_lanes.is_empty());
-        assert_eq!(hb.done, 2);
+        let hb = Heartbeat::parse(&legacy).unwrap();
+        assert_eq!(hb, Heartbeat { kind: "soak".into(), done: 2, ..Heartbeat::default() });
     }
 
     #[test]

@@ -4,14 +4,11 @@
 //!
 //! * [`time`] — picosecond-resolution simulated time ([`SimTime`]) and
 //!   durations ([`SimDuration`]), with exact conversions to core clock cycles.
-//! * [`queue`] — a deterministic event calendar ([`EventQueue`]): events at
-//!   equal timestamps pop in insertion order, so simulations are repeatable
-//!   bit-for-bit.
 //! * [`stats`] — counters, online mean/variance, and log-binned histograms
 //!   used by the measurement framework.
 //! * [`resource`] — shared-resource models: a byte-rate serializing
 //!   [`ThroughputResource`] (QPI links, DRAM buses, L3 slice ports) and a
-//!   bounded [`TokenPool`] (line-fill buffers, home-agent trackers).
+//!   bounded [`TimedPool`] (line-fill buffers, home-agent trackers).
 //! * [`rng`] — a deterministic small RNG wrapper so every experiment is
 //!   reproducible from a seed.
 //! * [`fxhash`] — a deterministic multiply-xor hasher ([`FxHashMap`]) for
@@ -22,10 +19,6 @@
 //! * [`fsio`] — crash-consistent `atomic_write` (tmp + `rename`, optional
 //!   fsync) and the stable [`fnv1a64`] content digest used by campaign
 //!   journals and golden-outcome checks.
-//! * [`shard`] — supervised sharded execution: deterministic
-//!   message-passing rounds between per-shard fault domains, with
-//!   catch_unwind isolation, watchdog deadlines, bounded queues with
-//!   deterministic backpressure, and restart-from-checkpoint recovery.
 //! * [`snapshot`] — versioned, digest-framed binary snapshot codec
 //!   ([`SnapWriter`]/[`SnapReader`] + whole-or-absent snapshot files) that
 //!   full-state simulator snapshots and mid-job checkpoints build on.
@@ -45,10 +38,8 @@ pub mod fsio;
 pub mod heartbeat;
 pub mod fxhash;
 pub mod metrics;
-pub mod queue;
 pub mod resource;
 pub mod rng;
-pub mod shard;
 pub mod snapshot;
 pub mod stats;
 pub mod telemetry;
@@ -57,17 +48,11 @@ pub mod trace;
 
 pub use cancel::CancelToken;
 pub use fsio::{atomic_write, fnv1a64, fnv1a64_extend};
-pub use heartbeat::{Heartbeat, ShardBeat};
+pub use heartbeat::Heartbeat;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use metrics::MetricsRegistry;
-pub use queue::EventQueue;
-pub use resource::{ThroughputResource, TimedPool, TokenPool};
+pub use resource::{ThroughputResource, TimedPool};
 pub use rng::DetRng;
-pub use shard::{
-    validate_shard_trace, Envelope, QueuePolicy, RoundCtx, RoundError, ShardEdge, ShardFailure,
-    ShardFailureKind, ShardFlow, ShardHealth, ShardId, ShardMsg, ShardPolicy, ShardReport,
-    ShardTiming, ShardTrace, ShardWorker,
-};
 pub use snapshot::{SnapReader, SnapWriter, SnapshotError};
 pub use stats::{Counter, Histogram, OnlineStats};
 pub use telemetry::{TelemetryConfig, TelemetryHub, TelemetrySampler};

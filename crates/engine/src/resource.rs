@@ -7,10 +7,11 @@
 //!   (17.06 GB/s each), L3 slice read ports, and the ring segments. Under
 //!   load, transfers queue back-to-back, which is exactly how bandwidth
 //!   saturation appears in the paper's Table VII/VIII scaling curves.
-//! * [`TokenPool`] — a bounded occupancy pool. Models core line-fill buffers
-//!   (10 per core on Haswell), L2 superqueue entries, and home-agent tracker
-//!   entries; by Little's law the pool bound times the round-trip latency
-//!   caps single-source bandwidth, which is what limits a single Haswell core
+//! * [`TimedPool`] — a bounded occupancy pool whose slots free themselves
+//!   at known times. Models core line-fill buffers (10 per core on
+//!   Haswell), L2 superqueue entries, and home-agent tracker entries; by
+//!   Little's law the pool bound times the round-trip latency caps
+//!   single-source bandwidth, which is what limits a single Haswell core
 //!   to ~10 GB/s from local DRAM despite 68 GB/s of channel bandwidth.
 
 use crate::time::{SimDuration, SimTime};
@@ -318,80 +319,6 @@ impl ThroughputResource {
     }
 }
 
-/// A bounded pool of occupancy tokens with explicit acquire/release.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct TokenPool {
-    capacity: u32,
-    in_use: u32,
-    peak: u32,
-    acquires: u64,
-    rejections: u64,
-}
-
-impl TokenPool {
-    /// A pool of `capacity` tokens. Panics if `capacity` is zero.
-    pub fn new(capacity: u32) -> Self {
-        assert!(capacity > 0, "token pool must have capacity");
-        TokenPool {
-            capacity,
-            in_use: 0,
-            peak: 0,
-            acquires: 0,
-            rejections: 0,
-        }
-    }
-
-    /// Attempt to take a token; `false` means the pool is exhausted and the
-    /// caller must queue.
-    pub fn try_acquire(&mut self) -> bool {
-        if self.in_use < self.capacity {
-            self.in_use += 1;
-            self.peak = self.peak.max(self.in_use);
-            self.acquires += 1;
-            true
-        } else {
-            self.rejections += 1;
-            false
-        }
-    }
-
-    /// Return a token. Panics if none are outstanding.
-    pub fn release(&mut self) {
-        assert!(self.in_use > 0, "release without acquire");
-        self.in_use -= 1;
-    }
-
-    /// Tokens currently held.
-    pub fn in_use(&self) -> u32 {
-        self.in_use
-    }
-
-    /// Tokens currently free.
-    pub fn available(&self) -> u32 {
-        self.capacity - self.in_use
-    }
-
-    /// Configured capacity.
-    pub fn capacity(&self) -> u32 {
-        self.capacity
-    }
-
-    /// Highest simultaneous occupancy observed.
-    pub fn peak(&self) -> u32 {
-        self.peak
-    }
-
-    /// Number of failed `try_acquire` calls — a direct congestion signal.
-    pub fn rejections(&self) -> u64 {
-        self.rejections
-    }
-
-    /// Successful acquisitions.
-    pub fn acquires(&self) -> u64 {
-        self.acquires
-    }
-}
-
 /// A bounded pool whose tokens free themselves at known times.
 ///
 /// Callers ask *when* a slot is available (`wait_for_slot`), compute their
@@ -578,27 +505,6 @@ mod tests {
         }
         let gbs = r.total_bytes() as f64 / now.as_secs() / 1e9;
         assert!((gbs - 38.4).abs() < 0.5, "{gbs}");
-    }
-
-    #[test]
-    fn token_pool_bounds_occupancy() {
-        let mut p = TokenPool::new(3);
-        assert!(p.try_acquire());
-        assert!(p.try_acquire());
-        assert!(p.try_acquire());
-        assert!(!p.try_acquire());
-        assert_eq!(p.rejections(), 1);
-        p.release();
-        assert!(p.try_acquire());
-        assert_eq!(p.peak(), 3);
-        assert_eq!(p.acquires(), 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "release without acquire")]
-    fn token_pool_release_underflow_panics() {
-        let mut p = TokenPool::new(1);
-        p.release();
     }
 
     #[test]
@@ -826,21 +732,6 @@ mod proptests {
             bat.transfer_batch(&reqs, &mut got);
             prop_assert_eq!(got, expect);
             prop_assert_eq!(bat.state_tuple(), seq.state_tuple());
-        }
-
-        /// in_use never exceeds capacity for any acquire/release pattern.
-        #[test]
-        fn pool_invariant(ops in proptest::collection::vec(any::<bool>(), 0..300)) {
-            let mut p = TokenPool::new(7);
-            for &acq in &ops {
-                if acq {
-                    p.try_acquire();
-                } else if p.in_use() > 0 {
-                    p.release();
-                }
-                prop_assert!(p.in_use() <= p.capacity());
-                prop_assert_eq!(p.available() + p.in_use(), p.capacity());
-            }
         }
     }
 }

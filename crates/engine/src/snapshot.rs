@@ -1,8 +1,8 @@
 //! Versioned, digest-framed binary snapshot codec.
 //!
-//! Snapshots let a simulator be paused, persisted, migrated, and resumed
-//! bit-identically — the substrate for mid-job checkpointing, chaos soak
-//! round-trips, and (eventually) shard migration. The vendored `serde` is
+//! Snapshots let a simulator be paused, persisted, and resumed
+//! bit-identically — the substrate for mid-job checkpointing and chaos
+//! soak round-trips. The vendored `serde` is
 //! an API stub, so the codec is hand-rolled: a [`SnapWriter`] appends
 //! little-endian primitives to a framed buffer and a [`SnapReader`]
 //! consumes them in the same order. The frame is self-describing enough

@@ -492,80 +492,11 @@ fn esc(s: &str) -> String {
     out
 }
 
-/// Chrome trace-event / Perfetto JSON for a captured cross-shard flow
-/// trace ([`crate::shard::ShardTrace`]).
-///
-/// Each message renders as a send slice on the sender's track (`tid` =
-/// shard id + 1) and a recv slice on the receiver's track, linked by a
-/// flow-event pair (`"ph": "s"` at the send, `"ph": "f"`/`"bp": "e"` at
-/// the recv) sharing the deterministic id `(src << 48) | seq` — the
-/// same (shard, seq) trace context the supervisor stamps at enqueue.
-/// Flow arrows make one walk's plan render as a single causally
-/// connected tree across shard tracks; the `group` arg (the batch index
-/// the message serves) selects it. Slices are schematic ±50 ns slivers
-/// around the envelope's nominal delivery time — queue hops, not
-/// simulated latency.
-pub fn shard_chrome_json(trace: &crate::shard::ShardTrace) -> String {
-    use crate::shard::ShardFlow;
-    /// Schematic slice width: one plan hop (50 ns) in picoseconds.
-    const HOP_PS: u64 = 50_000;
-    fn emit(out: &mut String, first: &mut bool, f: &ShardFlow, sending: bool) {
-        let hop = HOP_PS as f64 / 1e6;
-        let ts = f.at.0 as f64 / 1e6 + if sending { 0.0 } else { hop };
-        let (tid, ph, bp) = if sending {
-            (u64::from(f.src.0) + 1, 's', "")
-        } else {
-            (u64::from(f.dst.0) + 1, 'f', ", \"bp\": \"e\"")
-        };
-        let id = (u64::from(f.src.0) << 48) | f.seq;
-        if !*first {
-            out.push_str(", ");
-        }
-        *first = false;
-        // The slice the flow endpoint binds to.
-        let _ = write!(
-            out,
-            "{{\"name\": \"{c}\", \"cat\": \"shard\", \"ph\": \"X\", \
-             \"ts\": {ts:.6}, \"dur\": {hop:.6}, \"pid\": 1, \"tid\": {tid}, \
-             \"args\": {{\"id\": {id}, \"group\": {g}, \"round\": {r}, \
-             \"src\": {src}, \"dst\": {dst}}}}}, ",
-            c = esc(f.class),
-            g = f.group,
-            r = f.round,
-            src = f.src.0,
-            dst = f.dst.0,
-        );
-        // The flow endpoint itself.
-        let _ = write!(
-            out,
-            "{{\"name\": \"{c}\", \"cat\": \"shard-flow\", \"ph\": \"{ph}\", \
-             \"id\": {id}{bp}, \"ts\": {ts:.6}, \"pid\": 1, \"tid\": {tid}, \
-             \"args\": {{\"id\": {id}, \"group\": {g}}}}}",
-            c = esc(f.class),
-            g = f.group,
-        );
-    }
-    let n = trace.sends.len() + trace.recvs.len();
-    let mut out = String::with_capacity(n * 320 + 64);
-    out.push_str("{\"displayTimeUnit\": \"ns\", \"traceEvents\": [");
-    let mut first = true;
-    for f in &trace.sends {
-        emit(&mut out, &mut first, f, true);
-    }
-    for f in &trace.recvs {
-        emit(&mut out, &mut first, f, false);
-    }
-    out.push_str("]}\n");
-    out
-}
-
 /// Validate Chrome trace-event JSON against the constraints of
 /// `schemas/trace-event.schema.json`: a `traceEvents` array of complete
-/// (`"ph": "X"`) events carrying `name`, `cat`, `ts`, `dur`, `pid`, and
-/// `tid`, plus flow-event pairs (`"ph": "s"` / `"ph": "f"`) carrying an
-/// `id` instead of a duration — every `f` must share its `id` with
-/// exactly one `s` and vice versa. Hand-rolled (the workspace has no
-/// JSON parser); understands exactly the subset our exporters emit.
+/// (`"ph": "X"`) events, each carrying `name`, `cat`, `ts`, `dur`,
+/// `pid`, and `tid`. Hand-rolled (the workspace has no JSON parser);
+/// understands exactly the subset our exporter emits.
 pub fn validate_trace_json(text: &str) -> Result<(), String> {
     let trimmed = text.trim();
     if !trimmed.starts_with('{') || !trimmed.ends_with('}') {
@@ -588,8 +519,6 @@ pub fn validate_trace_json(text: &str) -> Result<(), String> {
     let mut escaped = false;
     let mut obj_start = None;
     let mut count = 0usize;
-    // Flow pairing: id -> (starts seen, finishes seen).
-    let mut flows: std::collections::HashMap<String, (u64, u64)> = std::collections::HashMap::new();
     for (i, c) in body.char_indices() {
         if in_str {
             if escaped {
@@ -616,18 +545,7 @@ pub fn validate_trace_json(text: &str) -> Result<(), String> {
                 depth -= 1;
                 if depth == 0 {
                     let obj = &body[obj_start.take().unwrap()..=i];
-                    match validate_event(obj, count)? {
-                        'X' => {}
-                        ph => {
-                            let id = event_id(obj, count)?.to_string();
-                            let e = flows.entry(id).or_insert((0u64, 0u64));
-                            if ph == 's' {
-                                e.0 += 1;
-                            } else {
-                                e.1 += 1;
-                            }
-                        }
-                    }
+                    validate_event(obj, count)?;
                     count += 1;
                 }
             }
@@ -641,55 +559,24 @@ pub fn validate_trace_json(text: &str) -> Result<(), String> {
     if count == 0 {
         return Err("traceEvents is empty".into());
     }
-    for (id, (s, f)) in &flows {
-        if s != f {
-            return Err(format!(
-                "flow id {id} has {s} start(s) but {f} finish(es): \
-                 every recv needs exactly its matching send"
-            ));
-        }
-    }
     Ok(())
 }
 
-/// Per-event structural check. Returns the event's phase character.
-fn validate_event(obj: &str, idx: usize) -> Result<char, String> {
-    for key in ["\"name\"", "\"cat\"", "\"ph\"", "\"ts\"", "\"pid\"", "\"tid\""] {
+fn validate_event(obj: &str, idx: usize) -> Result<(), String> {
+    for key in ["\"name\"", "\"cat\"", "\"ph\"", "\"ts\"", "\"dur\"", "\"pid\"", "\"tid\""] {
         if !obj.contains(key) {
             return Err(format!("event {idx} missing required key {key}"));
         }
     }
-    let ph = ['X', 's', 'f']
-        .into_iter()
-        .find(|p| {
-            obj.contains(&format!("\"ph\": \"{p}\"")) || obj.contains(&format!("\"ph\":\"{p}\""))
-        })
-        .ok_or_else(|| format!("event {idx} has an unsupported ph (want X, s, or f)"))?;
-    if ph == 'X' {
-        if !obj.contains("\"dur\"") {
-            return Err(format!("event {idx} is a complete event without a duration"));
-        }
-    } else if !obj.contains("\"id\"") {
-        return Err(format!("event {idx} is a flow event without an id"));
+    if !obj.contains("\"ph\": \"X\"") && !obj.contains("\"ph\":\"X\"") {
+        return Err(format!("event {idx} is not a complete (ph=X) event"));
     }
     for num_key in ["\"ts\": -", "\"dur\": -"] {
         if obj.contains(num_key) {
             return Err(format!("event {idx} has a negative time field"));
         }
     }
-    Ok(ph)
-}
-
-/// Extract a flow event's `id` value (first `"id"` key — the exporter
-/// writes the top-level one before `args`).
-fn event_id(obj: &str, idx: usize) -> Result<&str, String> {
-    let key = "\"id\": ";
-    let p = obj
-        .find(key)
-        .ok_or_else(|| format!("event {idx} is a flow event without an id"))?;
-    let rest = &obj[p + key.len()..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    Ok(rest[..end].trim())
+    Ok(())
 }
 
 #[cfg(test)]
@@ -818,6 +705,10 @@ mod tests {
                 .unwrap_err()
                 .contains("missing required key")
         );
+        // Flow events (`"ph": "s"` / `"f"`) are not part of the format.
+        let flow = "{\"traceEvents\": [{\"name\": \"x\", \"cat\": \"c\", \"ph\": \"s\", \
+                    \"ts\": 1, \"dur\": 0, \"pid\": 1, \"tid\": 1}]}";
+        assert!(validate_trace_json(flow).unwrap_err().contains("not a complete"));
     }
 
     #[test]
@@ -838,48 +729,5 @@ mod tests {
         let json = r.chrome_json();
         validate_trace_json(&json).unwrap();
         assert!(json.contains("quote \\\" backslash \\\\"));
-    }
-
-    fn sample_shard_trace() -> crate::shard::ShardTrace {
-        use crate::shard::{ShardFlow, ShardId, ShardTrace};
-        let flow = |round, at_ns: u64, src: u16, dst: u16, seq, group| ShardFlow {
-            round,
-            at: t(at_ns),
-            src: ShardId(src),
-            dst: ShardId(dst),
-            seq,
-            class: "snoop",
-            group,
-        };
-        ShardTrace {
-            sends: vec![flow(0, 50, 0, 1, 0, 7), flow(0, 50, 1, 0, 0, 7)],
-            recvs: vec![flow(1, 50, 0, 1, 0, 7), flow(1, 50, 1, 0, 0, 7)],
-            dropped: 0,
-        }
-    }
-
-    #[test]
-    fn shard_flow_export_links_send_recv_pairs() {
-        let json = shard_chrome_json(&sample_shard_trace());
-        validate_trace_json(&json).unwrap();
-        assert!(json.contains("\"ph\": \"s\""), "{json}");
-        assert!(json.contains("\"ph\": \"f\", \"id\": 0, \"bp\": \"e\""), "{json}");
-        // Shard 1's context: (1 << 48) | 0.
-        assert!(json.contains(&format!("\"id\": {}", 1u64 << 48)), "{json}");
-        // Tracks are per shard: sender on tid 1, receiver on tid 2.
-        assert!(json.contains("\"tid\": 1") && json.contains("\"tid\": 2"), "{json}");
-    }
-
-    #[test]
-    fn validator_rejects_unpaired_flows() {
-        let mut trace = sample_shard_trace();
-        trace.recvs.pop();
-        let err = validate_trace_json(&shard_chrome_json(&trace)).unwrap_err();
-        assert!(err.contains("flow id"), "{err}");
-        // A flow event with no id at all is structurally invalid.
-        let json = "{\"traceEvents\": [{\"name\": \"x\", \"cat\": \"c\", \"ph\": \"s\", \
-                    \"ts\": 1, \"pid\": 1, \"tid\": 1}]}";
-        let err = validate_trace_json(json).unwrap_err();
-        assert!(err.contains("without an id"), "{err}");
     }
 }

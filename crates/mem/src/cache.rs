@@ -273,17 +273,6 @@ impl<S> SetAssocCache<S> {
             .map(|i| base + i)
     }
 
-    /// Probe residency for a whole batch of lines in one pass, appending
-    /// one `bool` per line to `out`. Never touches LRU/PLRU state — this
-    /// is the staging-pass primitive the batch walk engine uses to
-    /// classify pending accesses per level before walking them.
-    pub fn contains_batch(&self, lines: &[LineAddr], out: &mut Vec<bool>) {
-        out.reserve(lines.len());
-        for &line in lines {
-            out.push(self.find(self.set_of(line), line.0).is_some());
-        }
-    }
-
     /// Hint the host CPU to pull `line`'s set metadata (tags, LRU ticks,
     /// payloads, occupancy, PLRU bits) into its cache ahead of an
     /// upcoming probe.
@@ -1215,12 +1204,6 @@ mod proptests {
                     );
                 }
             }
-            // Batch probe agrees with one-at-a-time contains().
-            let lines: Vec<LineAddr> = probes.iter().map(|&p| LineAddr(p)).collect();
-            let mut flags = Vec::new();
-            c.contains_batch(&lines, &mut flags);
-            let expect: Vec<bool> = lines.iter().map(|&l| c.contains(l)).collect();
-            prop_assert_eq!(flags, expect);
         }
 
         /// Full-API differential against the retained nested-Vec reference

@@ -25,16 +25,11 @@
 
 use crate::plan::{FaultClass, FaultKind, FaultPlan};
 use hswx_coherence::{DirState, MesifState, NodeSet};
-use hswx_engine::shard::QueuePolicy;
 use hswx_engine::{DetRng, MetricsRegistry, SimTime};
-use hswx_haswell::{
-    Access, CoherenceMode, MonitorConfig, RecoveryStats, ShardConfig, SimError, System,
-    SystemConfig,
-};
+use hswx_haswell::{CoherenceMode, MonitorConfig, RecoveryStats, SimError, System, SystemConfig};
 use hswx_mem::{CoreId, LineAddr, NodeId};
 use std::fmt;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Result of one campaign matrix cell.
 #[derive(Debug, Clone, PartialEq)]
@@ -160,16 +155,13 @@ impl CampaignReport {
         out.push_str(&format!(
             "  \"recovery\": {{\"crc_messages\": {}, \"crc_retries\": {}, \
              \"link_failures\": {}, \"dir_retries\": {}, \"hitme_retries\": {}, \
-             \"poison_blocked\": {}, \"shard_restarts\": {}, \
-             \"shard_watchdog_kills\": {}}},\n",
+             \"poison_blocked\": {}}},\n",
             r.crc_messages,
             r.crc_retries,
             r.link_failures,
             r.dir_retries,
             r.hitme_retries,
-            r.poison_blocked,
-            r.shard_restarts,
-            r.shard_watchdog_kills
+            r.poison_blocked
         ));
         out.push_str("  \"cells\": [\n");
         for (i, cell) in self.cells.iter().enumerate() {
@@ -225,15 +217,13 @@ impl fmt::Display for CampaignReport {
                 f,
                 "recovery events across all trials: {} CRC retries over {} messages, \
                  {} link failures, {} directory re-reads, {} HitME re-reads, \
-                 {} poisoned accesses blocked, {} shard restarts ({} by watchdog)",
+                 {} poisoned accesses blocked",
                 r.crc_retries,
                 r.crc_messages,
                 r.link_failures,
                 r.dir_retries,
                 r.hitme_retries,
-                r.poison_blocked,
-                r.shard_restarts,
-                r.shard_watchdog_kills
+                r.poison_blocked
             )?;
         }
         if self.all_detected() {
@@ -306,8 +296,6 @@ pub fn run_campaign(plan: &FaultPlan) -> CampaignReport {
         dir_retries: get("recovery.dir_retries"),
         hitme_retries: get("recovery.hitme_retries"),
         poison_blocked: get("recovery.poison_blocked"),
-        shard_restarts: get("recovery.shard_restarts"),
-        shard_watchdog_kills: get("recovery.shard_watchdog_kills"),
     };
     if let Some(outer) = MetricsRegistry::ambient() {
         for (name, v) in &counters {
@@ -322,18 +310,10 @@ pub fn run_campaign(plan: &FaultPlan) -> CampaignReport {
 /// materialise (or the fault could not even be armed — an unarmable fault
 /// counts as a miss so campaign setups cannot silently rot).
 fn run_trial(mode: CoherenceMode, class: FaultClass, seed: u64, trial: u32) -> Option<String> {
-    match class {
-        // Shard-runtime faults verify against the sharded batch path,
-        // not single-access walks.
-        FaultClass::ShardPanic | FaultClass::ShardWatchdog => {
-            shard_recover_trial(mode, class, seed, trial)
-        }
-        FaultClass::ShardQueueOverflow => shard_contain_trial(mode, class, seed, trial),
-        _ => match class.kind() {
-            FaultKind::Detect => detect_trial(mode, class, seed, trial),
-            FaultKind::Recover => recover_trial(mode, class, seed, trial),
-            FaultKind::Contain => contain_trial(mode, class, seed, trial),
-        },
+    match class.kind() {
+        FaultKind::Detect => detect_trial(mode, class, seed, trial),
+        FaultKind::Recover => recover_trial(mode, class, seed, trial),
+        FaultKind::Contain => contain_trial(mode, class, seed, trial),
     }
 }
 
@@ -437,11 +417,8 @@ fn detect_trial(mode: CoherenceMode, class: FaultClass, seed: u64, trial: u32) -
         | FaultClass::QpiCrcStorm
         | FaultClass::DirGlitch
         | FaultClass::HitMeGlitch
-        | FaultClass::PoisonLine
-        | FaultClass::ShardPanic
-        | FaultClass::ShardWatchdog
-        | FaultClass::ShardQueueOverflow => {
-            unreachable!("{} is routed to a recover/contain/shard trial", class.name())
+        | FaultClass::PoisonLine => {
+            unreachable!("{} is routed to a recover/contain trial", class.name())
         }
     };
     if !armed {
@@ -584,114 +561,6 @@ fn contain_trial(mode: CoherenceMode, class: FaultClass, seed: u64, trial: u32) 
         }
         _ => unreachable!("{} is not a containment class", class.name()),
     }
-}
-
-/// A batch whose accesses round-robin over every core, guaranteeing each
-/// NUMA-node shard a healthy slice of local work (so injected shard
-/// faults always have something to fire on).
-fn shard_batch(cfg: &SystemConfig, rng: &mut DetRng) -> Vec<Access> {
-    let n_cores = cfg.n_cores();
-    let span = rng.below(1 << 16);
-    (0..192u64)
-        .map(|i| {
-            let core = CoreId((i as u16) % n_cores);
-            let line = LineAddr((i * 131 + span * 7) % (1 << 18));
-            if i % 4 == 3 {
-                Access::write(core, line)
-            } else {
-                Access::read(core, line)
-            }
-        })
-        .collect()
-}
-
-/// Shard recover trial: a batch runs through the sharded runtime with an
-/// injected shard panic or watchdog stall; restart-from-snapshot plus
-/// message-log replay must heal it **bit-identically** to the sequential
-/// reference (outcome, statistics, state digest), and the recovery
-/// counters must prove the fault actually fired.
-fn shard_recover_trial(
-    mode: CoherenceMode,
-    class: FaultClass,
-    seed: u64,
-    trial: u32,
-) -> Option<String> {
-    let mut rng = DetRng::new(seed).fork(trial_salt(mode, class, trial));
-    let cfg = SystemConfig::e5_2680_v3(mode);
-    let batch = shard_batch(&cfg, &mut rng);
-    let mut seq = System::new(cfg.clone());
-    let want = seq.run_batch_seq(&batch);
-
-    let mut sys = System::new(cfg);
-    let target = rng.below(u64::from(sys.topo.n_nodes())) as u16;
-    let mut scfg = ShardConfig::with_threads(2);
-    match class {
-        FaultClass::ShardPanic => scfg.faults.panic_at = Some((target, rng.below(12) as u32)),
-        FaultClass::ShardWatchdog => {
-            scfg.faults.stall_shard = Some(target);
-            scfg.watchdog = Some(Duration::from_millis(25));
-        }
-        _ => unreachable!("{} is not a shard-recover class", class.name()),
-    }
-    let got = sys.run_batch_sharded(&batch, &scfg).ok()?;
-    if got.outcome != want || sys.state_digest() != seq.state_digest() || sys.stats != seq.stats {
-        return None; // recovery perturbed the outcome — a recovery gap
-    }
-    let fired = match class {
-        FaultClass::ShardPanic => sys.recovery.shard_restarts,
-        FaultClass::ShardWatchdog => sys.recovery.shard_watchdog_kills,
-        _ => unreachable!(),
-    };
-    if fired == 0 {
-        return None; // the injected fault never fired — the setup rotted
-    }
-    Some(format!(
-        "shard {target} {} x{fired} healed by restart-from-snapshot; \
-         outcome bit-identical to sequential dispatch",
-        class.name()
-    ))
-}
-
-/// Shard contain trial: a deterministic hard queue overflow must abort
-/// the batch with exactly [`SimError::ShardFailed`] *before* any
-/// dispatch — simulated state untouched — and the same system must run
-/// the batch cleanly afterwards.
-fn shard_contain_trial(
-    mode: CoherenceMode,
-    class: FaultClass,
-    seed: u64,
-    trial: u32,
-) -> Option<String> {
-    let mut rng = DetRng::new(seed).fork(trial_salt(mode, class, trial));
-    let cfg = SystemConfig::e5_2680_v3(mode);
-    let batch = shard_batch(&cfg, &mut rng);
-    let mut sys = System::new(cfg.clone());
-    let digest_before = sys.state_digest();
-
-    // Hard capacity far below the soft stall threshold: the planner's
-    // very first chunk overflows a channel deterministically.
-    let mut scfg = ShardConfig::with_threads(2);
-    scfg.queue = QueuePolicy { capacity: 2, stall_at: 1_000 };
-    let err = match sys.run_batch_sharded(&batch, &scfg) {
-        Err(e @ SimError::ShardFailed { .. }) => e,
-        Err(_) | Ok(_) => return None,
-    };
-    if let SimError::ShardFailed { restarts, .. } = &err {
-        if *restarts != 0 {
-            return None; // deterministic failures must not burn restarts
-        }
-    }
-    if sys.state_digest() != digest_before || sys.recovery.shard_restarts != 0 {
-        return None; // the aborted batch leaked into simulated state
-    }
-    // Containment: the same system completes the batch under sane queue
-    // bounds, matching the sequential reference.
-    let clean = sys.run_batch_sharded(&batch, &ShardConfig::with_threads(2)).ok()?;
-    let mut seq = System::new(cfg);
-    if clean.outcome != seq.run_batch_seq(&batch) {
-        return None;
-    }
-    Some(err.to_string())
 }
 
 #[cfg(test)]

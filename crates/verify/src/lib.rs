@@ -12,4 +12,4 @@ pub mod soak;
 
 pub use campaign::{run_campaign, CampaignReport, CellOutcome, MatrixCell};
 pub use plan::{FaultClass, FaultPlan};
-pub use soak::{run_soak, SoakConfig, SoakReport, SoakScenario};
+pub use soak::{run_soak, SoakConfig, SoakReport};

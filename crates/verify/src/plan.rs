@@ -64,17 +64,6 @@ pub enum FaultClass {
     /// A poisoned line whose consumption must abort exactly one walk with
     /// a typed error while every other structure stays untouched.
     PoisonLine,
-    /// A shard of the sharded batch runtime panics mid-plan; the
-    /// supervisor must heal it via restart-from-snapshot + message-log
-    /// replay, bit-identically to a clean run.
-    ShardPanic,
-    /// A shard stalls past its watchdog deadline; the supervisor must
-    /// kill and restart it, bit-identically to a clean run.
-    ShardWatchdog,
-    /// A shard deterministically exhausts its restart budget; the batch
-    /// must abort with one typed error before any dispatch, leaving the
-    /// simulated state untouched.
-    ShardQueueOverflow,
 }
 
 /// What the simulator is expected to do with a fault class.
@@ -106,7 +95,7 @@ impl FaultKind {
 impl FaultClass {
     /// Every class, in reporting order: detection classes first, then the
     /// recoverable/contained transients.
-    pub const ALL: [FaultClass; 19] = [
+    pub const ALL: [FaultClass; 16] = [
         FaultClass::MintForwarder,
         FaultClass::BreakMExclusivity,
         FaultClass::DropL3Line,
@@ -123,9 +112,6 @@ impl FaultClass {
         FaultClass::DirGlitch,
         FaultClass::HitMeGlitch,
         FaultClass::PoisonLine,
-        FaultClass::ShardPanic,
-        FaultClass::ShardWatchdog,
-        FaultClass::ShardQueueOverflow,
     ];
 
     /// Stable identifier used in plans and reports.
@@ -147,9 +133,6 @@ impl FaultClass {
             FaultClass::DirGlitch => "dir-glitch",
             FaultClass::HitMeGlitch => "hitme-glitch",
             FaultClass::PoisonLine => "poison-line",
-            FaultClass::ShardPanic => "shard-panic",
-            FaultClass::ShardWatchdog => "shard-watchdog",
-            FaultClass::ShardQueueOverflow => "shard-queue-overflow",
         }
     }
 
@@ -161,14 +144,10 @@ impl FaultClass {
     /// The expected simulator response to this class.
     pub fn kind(self) -> FaultKind {
         match self {
-            FaultClass::QpiCrc
-            | FaultClass::DirGlitch
-            | FaultClass::HitMeGlitch
-            | FaultClass::ShardPanic
-            | FaultClass::ShardWatchdog => FaultKind::Recover,
-            FaultClass::QpiCrcStorm
-            | FaultClass::PoisonLine
-            | FaultClass::ShardQueueOverflow => FaultKind::Contain,
+            FaultClass::QpiCrc | FaultClass::DirGlitch | FaultClass::HitMeGlitch => {
+                FaultKind::Recover
+            }
+            FaultClass::QpiCrcStorm | FaultClass::PoisonLine => FaultKind::Contain,
             _ => FaultKind::Detect,
         }
     }
@@ -365,6 +344,8 @@ mod tests {
     #[test]
     fn rejects_unknown_class_and_key() {
         assert!(FaultPlan::from_text("classes = flip-bits\n").is_err());
+        // A class of the removed sharded runtime, as old plans name it.
+        assert!(FaultPlan::from_text("classes = shard-panic\n").is_err());
         assert!(FaultPlan::from_text("sed = 1\n").is_err());
     }
 
@@ -393,12 +374,12 @@ mod tests {
             .iter()
             .filter(|c| c.kind() == FaultKind::Recover)
             .collect();
-        assert_eq!(recover.len(), 5);
+        assert_eq!(recover.len(), 3);
         let contain: Vec<_> = FaultClass::ALL
             .iter()
             .filter(|c| c.kind() == FaultKind::Contain)
             .collect();
-        assert_eq!(contain.len(), 3);
+        assert_eq!(contain.len(), 2);
     }
 }
 

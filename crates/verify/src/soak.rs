@@ -35,47 +35,15 @@
 //! failing snapshot pair is dumped to the output directory for offline
 //! diffing); [`SoakReport::ok`] gates the `hswx soak` exit code.
 
-use hswx_engine::{CancelToken, DetRng, Heartbeat, MetricsRegistry, ShardBeat, SimTime};
+use hswx_engine::{CancelToken, DetRng, Heartbeat, MetricsRegistry, SimTime};
 use hswx_haswell::{
-    Access, CoherenceMode, MonitorConfig, ShardConfig, SimError, System, SystemConfig,
-    SYSTEM_SNAPSHOT_SCHEMA,
+    CoherenceMode, MonitorConfig, SimError, System, SystemConfig, SYSTEM_SNAPSHOT_SCHEMA,
 };
 use hswx_mem::{CoreId, LineAddr};
 use hswx_mem::NodeId;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
-
-/// Which chaos surface a soak run stresses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SoakScenario {
-    /// The classic single-walk surface: mixed walks, transients, poison,
-    /// snapshot twins, cancellation storms.
-    #[default]
-    Mixed,
-    /// The sharded batch runtime: mid-batch shard kills healed by
-    /// restart-from-snapshot, watchdog kills, queue-saturation storms,
-    /// and whole-run cancellation — every recovered batch checked
-    /// bit-identical against sequential dispatch.
-    ShardChaos,
-}
-
-impl SoakScenario {
-    /// Stable identifier used by `hswx soak --scenario`.
-    pub fn name(self) -> &'static str {
-        match self {
-            SoakScenario::Mixed => "mixed",
-            SoakScenario::ShardChaos => "shard-chaos",
-        }
-    }
-
-    /// Parse a [`name`](Self::name) back into the scenario.
-    pub fn from_name(s: &str) -> Option<SoakScenario> {
-        [SoakScenario::Mixed, SoakScenario::ShardChaos]
-            .into_iter()
-            .find(|sc| sc.name() == s)
-    }
-}
 
 /// Parameters of one soak run.
 #[derive(Debug, Clone)]
@@ -88,14 +56,6 @@ pub struct SoakConfig {
     /// `None` uses the system temp directory for scratch and skips pair
     /// dumps.
     pub out_dir: Option<PathBuf>,
-    /// Which chaos surface to stress.
-    pub scenario: SoakScenario,
-    /// Fixed worker-thread count for sharded batch phases. `None`
-    /// rotates deterministically through 1/2/8 per round (the default
-    /// chaos surface); sharded results are bit-identical either way, so
-    /// this only pins the schedule being stressed. Validated at the CLI
-    /// boundary via [`hswx_haswell::ShardConfig::validate`].
-    pub threads: Option<usize>,
 }
 
 /// One recorded soak failure: what broke and in which round, with enough
@@ -133,25 +93,6 @@ pub struct SoakReport {
     pub cancellation_storms: u64,
     /// Walks that correctly surfaced [`SimError::Cancelled`].
     pub cancelled_walks: u64,
-    /// Sharded batches executed (clean and faulted, shard-chaos rounds).
-    pub shard_batches: u64,
-    /// Shard kills injected (panics + watchdog stalls).
-    pub shard_kills: u64,
-    /// Restart-from-snapshot recoveries the kills caused (proof the
-    /// supervision machinery, not luck, healed the batches).
-    pub shard_restarts: u64,
-    /// Sharded batches that correctly refused to run under a cancelled
-    /// ambient token with a typed `ShardFailed` error.
-    pub shard_cancelled: u64,
-    /// Largest shard-lane count any sharded batch ran with (one lane per
-    /// NUMA node of the round's config: 2 in snoop modes, 4 under
-    /// cluster-on-die).
-    pub shard_lanes: u64,
-    /// Per-lane health accumulated over every sharded batch (restarts,
-    /// stalls, messages summed; queue high-water maxed), sorted by lane
-    /// id. Feeds the repeatable `shard=` heartbeat lines that drive the
-    /// `hswx top` lane panel; not part of the JSON report.
-    pub shard_lane_health: Vec<ShardBeat>,
     /// Monitor/typed-error violations (must be empty).
     pub violations: Vec<SoakFailure>,
     /// Snapshot/restore divergences (must be empty).
@@ -211,11 +152,6 @@ impl SoakReport {
         out.push_str(&format!("  \"recovery_events\": {},\n", self.recovery_events));
         out.push_str(&format!("  \"cancellation_storms\": {},\n", self.cancellation_storms));
         out.push_str(&format!("  \"cancelled_walks\": {},\n", self.cancelled_walks));
-        out.push_str(&format!("  \"shard_batches\": {},\n", self.shard_batches));
-        out.push_str(&format!("  \"shard_kills\": {},\n", self.shard_kills));
-        out.push_str(&format!("  \"shard_restarts\": {},\n", self.shard_restarts));
-        out.push_str(&format!("  \"shard_cancelled\": {},\n", self.shard_cancelled));
-        out.push_str(&format!("  \"shard_lanes\": {},\n", self.shard_lanes));
         out.push_str(&format!("  \"ok\": {},\n", self.ok()));
         out.push_str("  \"metrics\": {");
         for (i, (name, v)) in self.metrics.iter().enumerate() {
@@ -259,18 +195,6 @@ impl fmt::Display for SoakReport {
             "  {} cancellation storms ({} walks correctly refused)",
             self.cancellation_storms, self.cancelled_walks,
         )?;
-        if self.shard_batches > 0 {
-            writeln!(
-                f,
-                "  {} sharded batches across up to {} lanes, {} shard kills injected \
-                 ({} restart-from-snapshot recoveries, {} batches refused under cancellation)",
-                self.shard_batches,
-                self.shard_lanes,
-                self.shard_kills,
-                self.shard_restarts,
-                self.shard_cancelled,
-            )?;
-        }
         for v in &self.violations {
             writeln!(f, "  VIOLATION (round {}): {}", v.round, v.what)?;
         }
@@ -293,7 +217,6 @@ struct Round<'a> {
     rng: DetRng,
     report: &'a mut SoakReport,
     out_dir: Option<&'a Path>,
-    threads: Option<usize>,
 }
 
 impl Round<'_> {
@@ -538,173 +461,6 @@ impl Round<'_> {
     }
 }
 
-impl Round<'_> {
-    /// A seeded batch whose accesses round-robin over every core, so
-    /// each NUMA-node shard owns a healthy slice of local work.
-    fn gen_batch(&mut self, sys: &System, n: u64) -> Vec<Access> {
-        let n_cores: u16 = sys
-            .topo
-            .nodes()
-            .map(|node| sys.topo.cores_of_node(node).len() as u16)
-            .sum();
-        (0..n)
-            .map(|i| {
-                let core = CoreId((i % u64::from(n_cores)) as u16);
-                let target = NodeId(self.rng.below(sys.topo.n_nodes() as u64) as u8);
-                let line =
-                    LineAddr(sys.topo.numa_base(target).line().0 + self.rng.below(2048));
-                if self.rng.chance(0.25) {
-                    Access::write(core, line)
-                } else {
-                    Access::read(core, line)
-                }
-            })
-            .collect()
-    }
-
-    /// Run `batch` sharded on a fresh system and require bit-identity
-    /// with the sequential reference `(outcome digest, state digest)`.
-    /// Returns the recovered system on success.
-    fn sharded_replica(
-        &mut self,
-        cfg: &SystemConfig,
-        batch: &[Access],
-        scfg: &ShardConfig,
-        want: &(hswx_haswell::BatchOutcome, u64),
-        tag: &str,
-    ) -> Option<System> {
-        let mut sys = System::new(cfg.clone());
-        match sys.run_batch_sharded(batch, scfg) {
-            Ok(run) => {
-                self.report.shard_batches += 1;
-                self.report.walks += batch.len() as u64;
-                self.report.shard_restarts += run.report.restarts;
-                self.report.shard_lanes =
-                    self.report.shard_lanes.max(u64::from(sys.topo.n_nodes()));
-                // Fold per-lane health into the cumulative lane beats
-                // (restarts/stalls/messages sum, queue high-water maxes)
-                // so the heartbeat carries live per-shard state.
-                for h in &run.report.shards {
-                    let lane = u64::from(h.shard.0);
-                    let lanes = &mut self.report.shard_lane_health;
-                    let beat = match lanes.iter_mut().find(|b| b.shard == lane) {
-                        Some(beat) => beat,
-                        None => {
-                            lanes.push(ShardBeat { shard: lane, ..ShardBeat::default() });
-                            lanes.sort_by_key(|b| b.shard);
-                            lanes.iter_mut().find(|b| b.shard == lane).expect("just pushed")
-                        }
-                    };
-                    beat.restarts += u64::from(h.restarts);
-                    beat.stalls += h.stalls;
-                    beat.queue_hwm = beat.queue_hwm.max(h.queue_hwm);
-                    beat.msgs += h.sent;
-                }
-                if run.outcome != want.0 || sys.state_digest() != want.1 {
-                    self.mismatch(format!(
-                        "{tag}: sharded batch diverged from sequential dispatch \
-                         (digest {:#018x} vs {:#018x}, shard report {:?})",
-                        sys.state_digest(),
-                        want.1,
-                        run.report,
-                    ));
-                    return None;
-                }
-                Some(sys)
-            }
-            Err(e) => {
-                self.violation(format!("{tag}: sharded batch failed: {e}"));
-                None
-            }
-        }
-    }
-}
-
-/// One shard-chaos round: a seeded batch runs sharded at a seeded thread
-/// count — clean, then with a mid-batch shard kill (panic or watchdog
-/// stall) healed by restart-from-snapshot — and every recovered run must
-/// be bit-identical to sequential dispatch. The recovered system then
-/// proves snapshot-transparency, and a cancellation storm requires the
-/// whole batch to refuse with a typed `ShardFailed` without touching
-/// state.
-fn run_shard_round(round: &mut Round<'_>) {
-    let cfg = round.pick_config();
-    let mut seq = match System::try_new(cfg.clone()) {
-        Ok(sys) => sys,
-        Err(e) => {
-            round.violation(format!("soak preset config rejected: {e}"));
-            return;
-        }
-    };
-    let total = 96 + round.rng.below(96);
-    let batch = round.gen_batch(&seq, total);
-    let outcome = seq.run_batch_seq(&batch);
-    round.report.walks += batch.len() as u64;
-    let want = (outcome, seq.state_digest());
-
-    let threads =
-        round.threads.unwrap_or_else(|| [1usize, 2, 8][round.rng.below(3) as usize]);
-    let scfg = ShardConfig::with_threads(threads);
-
-    // Clean sharded run.
-    let Some(_clean) = round.sharded_replica(&cfg, &batch, &scfg, &want, "clean") else {
-        return;
-    };
-
-    // Mid-batch shard kill: panic at a seeded local access, or a
-    // watchdog stall. Either way the batch must heal bit-identically.
-    let n_nodes = u64::from(seq.topo.n_nodes());
-    let target = round.rng.below(n_nodes) as u16;
-    let mut killer = scfg.clone();
-    let stall = round.rng.chance(0.4);
-    if stall {
-        killer.faults.stall_shard = Some(target);
-        killer.watchdog = Some(Duration::from_millis(25));
-    } else {
-        killer.faults.panic_at = Some((target, round.rng.below(24) as u32));
-    }
-    round.report.shard_kills += 1;
-    let Some(recovered) = round.sharded_replica(&cfg, &batch, &killer, &want, "killed") else {
-        return;
-    };
-    if recovered.recovery.shard_restarts == 0 {
-        round.violation(format!(
-            "injected {} on shard {target} never fired (recovery counters empty)",
-            if stall { "watchdog stall" } else { "panic" },
-        ));
-        return;
-    }
-
-    // The recovered system is snapshot-transparent like any other.
-    let Some(twin) = round.snapshot_twin(&recovered) else { return };
-
-    // Cancellation storm: under a cancelled ambient token the whole
-    // batch must refuse with a typed ShardFailed before any dispatch.
-    if round.rng.chance(0.7) {
-        round.report.cancellation_storms += 1;
-        let mut storm = System::new(cfg);
-        let digest_before = storm.state_digest();
-        let token = CancelToken::new();
-        token.cancel();
-        let res = {
-            let _guard = CancelToken::set_ambient(token);
-            storm.run_batch_sharded(&batch, &scfg)
-        };
-        match res {
-            Err(SimError::ShardFailed { .. }) => {
-                if storm.state_digest() == digest_before {
-                    round.report.shard_cancelled += 1;
-                } else {
-                    round.violation("cancelled sharded batch mutated protocol state".into());
-                }
-            }
-            Err(e) => round.violation(format!("cancelled batch raised the wrong error: {e}")),
-            Ok(_) => round.violation("sharded batch ran under a cancelled token".into()),
-        }
-    }
-    drop(twin);
-}
-
 /// Run one soak round. Returns early (with the failure recorded) on the
 /// first violation/mismatch so a broken invariant can't cascade into a
 /// wall of secondary noise.
@@ -806,12 +562,6 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
         recovery_events: 0,
         cancellation_storms: 0,
         cancelled_walks: 0,
-        shard_batches: 0,
-        shard_kills: 0,
-        shard_restarts: 0,
-        shard_cancelled: 0,
-        shard_lanes: 0,
-        shard_lane_health: Vec::new(),
         violations: Vec::new(),
         mismatches: Vec::new(),
         metrics: Vec::new(),
@@ -834,13 +584,6 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
         hb.elapsed_ms = start.elapsed().as_millis() as u64;
         hb.done = report.rounds;
         hb.failed = (report.violations.len() + report.mismatches.len()) as u64;
-        // Shard health for `hswx top`: one lane per NUMA node in the
-        // modelled machine once any sharded batch has run.
-        if report.shard_batches > 0 {
-            hb.shards = report.shard_lanes;
-            hb.shard_restarts = report.shard_restarts;
-            hb.shard_lanes = report.shard_lane_health.clone();
-        }
         hb.metrics = registry.counters_snapshot();
         let _ = hb.write(path);
     };
@@ -854,12 +597,8 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
             rng: DetRng::new(cfg.seed).fork(idx),
             report: &mut report,
             out_dir: cfg.out_dir.as_deref(),
-            threads: cfg.threads,
         };
-        match cfg.scenario {
-            SoakScenario::Mixed => run_round(&mut round, &scratch),
-            SoakScenario::ShardChaos => run_shard_round(&mut round),
-        }
+        run_round(&mut round, &scratch);
         report.rounds += 1;
         idx += 1;
         let stop = !report.ok() || start.elapsed() >= cfg.budget;
@@ -884,8 +623,6 @@ mod tests {
             budget: Duration::from_millis(200),
             seed: 0xDECAF,
             out_dir: None,
-            scenario: SoakScenario::Mixed,
-            threads: None,
         };
         let report = run_soak(&cfg);
         assert!(report.ok(), "{report}");
@@ -897,44 +634,6 @@ mod tests {
             "soak simulators should drain counters into the report: {:?}",
             report.metrics
         );
-    }
-
-    #[test]
-    fn shard_chaos_soak_recovers_killed_shards_bit_identically() {
-        let cfg = SoakConfig {
-            budget: Duration::from_millis(300),
-            seed: 0xBADC0DE,
-            out_dir: None,
-            scenario: SoakScenario::ShardChaos,
-            threads: None,
-        };
-        let report = run_soak(&cfg);
-        assert!(report.ok(), "{report}");
-        assert!(report.shard_batches >= 2, "clean + killed batch per round: {report}");
-        assert!(report.shard_kills >= 1);
-        assert!(
-            report.shard_restarts >= report.shard_kills,
-            "every injected kill must be healed by restart-from-snapshot: {report}"
-        );
-        assert!(report.snapshots >= 1, "recovered systems stay snapshot-transparent");
-        // Per-lane health accumulated for the heartbeat lane panel: every
-        // lane that ran carries real traffic, and injected kills land in
-        // some lane's restart counter.
-        assert!(!report.shard_lane_health.is_empty(), "{report}");
-        assert!(report.shard_lane_health.iter().all(|b| b.msgs > 0));
-        assert!(report.shard_lane_health.windows(2).all(|w| w[0].shard < w[1].shard));
-        assert_eq!(
-            report.shard_lane_health.iter().map(|b| b.restarts).sum::<u64>(),
-            report.shard_restarts,
-        );
-    }
-
-    #[test]
-    fn scenario_names_round_trip() {
-        for sc in [SoakScenario::Mixed, SoakScenario::ShardChaos] {
-            assert_eq!(SoakScenario::from_name(sc.name()), Some(sc));
-        }
-        assert_eq!(SoakScenario::from_name("bogus"), None);
     }
 
     #[test]
@@ -951,12 +650,6 @@ mod tests {
             recovery_events: 4,
             cancellation_storms: 2,
             cancelled_walks: 16,
-            shard_batches: 4,
-            shard_kills: 2,
-            shard_restarts: 2,
-            shard_cancelled: 1,
-            shard_lanes: 2,
-            shard_lane_health: vec![ShardBeat { shard: 0, msgs: 12, ..ShardBeat::default() }],
             violations: vec![],
             mismatches: vec![SoakFailure { round: 2, what: "digest \"diff\"".into() }],
             metrics: vec![("snoop.sent".into(), 42), ("sys.walks".into(), 900)],
@@ -966,11 +659,6 @@ mod tests {
         assert!(json.contains("\"ok\": false"));
         assert!(json.contains("\\\"diff\\\""), "failure text is escaped: {json}");
         assert!(json.contains("\"schema_version\""));
-        assert!(json.contains("\"shard_batches\": 4"));
-        assert!(json.contains("\"shard_kills\": 2"));
-        assert!(json.contains("\"shard_restarts\": 2"));
-        assert!(json.contains("\"shard_cancelled\": 1"));
-        assert!(json.contains("\"shard_lanes\": 2"));
         assert!(
             json.contains("\"metrics\": {\"snoop.sent\": 42, \"sys.walks\": 900}"),
             "{json}"
@@ -979,13 +667,7 @@ mod tests {
 
     #[test]
     fn zero_budget_still_runs_one_round() {
-        let cfg = SoakConfig {
-            budget: Duration::ZERO,
-            seed: 1,
-            out_dir: None,
-            scenario: SoakScenario::Mixed,
-            threads: None,
-        };
+        let cfg = SoakConfig { budget: Duration::ZERO, seed: 1, out_dir: None };
         let report = run_soak(&cfg);
         assert_eq!(report.rounds, 1);
         assert!(report.ok(), "{report}");

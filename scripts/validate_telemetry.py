@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Validate hswx observability export artifacts.
+"""Validate `hswx campaign --telemetry` export artifacts.
 
-Stdlib-only (CI runners have no extra packages). Checks the formats the
-telemetry and heartbeat stacks emit:
+Stdlib-only (CI runners have no extra packages). Checks the two formats
+the sampler emits:
 
 * CSV (`*.csv`): magic comment `# hswx-telemetry v1 bucket_ps=N`, a
   header row starting with `bucket_start_ps`, every data row with the
@@ -13,24 +13,12 @@ telemetry and heartbeat stacks emit:
   first use of each metric family, sample lines shaped like
   `name{channel="..."} value [timestamp]`, and the mandatory trailing
   `# EOF`.
-* Trace JSON (`*.json`): flow-event discipline of a shard flow trace —
-  every `"ph": "s"`/`"f"` endpoint carries an integer `id`, every finish
-  binds to its enclosing slice (`"bp": "e"`), shard-flow endpoints carry
-  the `shard-flow` category, and starts pair 1:1 with finishes per flow
-  id. (Full schema validation lives in validate_trace_schema.py; this is
-  the telemetry-level sanity pass CI runs on exported artifacts.)
-* Heartbeat (`*.txt`): `hswx-heartbeat v1` magic, `key=value` body
-  lines, and well-formed repeatable `shard=` lane lines (integer lane id
-  followed by integer-valued `restarts`/`stalls`/`queue_hwm`/`msgs`
-  pairs; unknown keys are tolerated — readers skip them, that is the
-  forward-compatibility contract).
 
 Exits nonzero with a line-qualified message on the first violation.
 
-Usage: validate_telemetry.py FILE.csv [FILE.om FILE.json heartbeat.txt ...]
+Usage: validate_telemetry.py FILE.csv [FILE.om ...]
 """
 
-import json
 import re
 import sys
 
@@ -97,87 +85,14 @@ def check_openmetrics(path, lines):
     print(f"{path}: ok ({samples} samples, {len(declared)} metric families)")
 
 
-def check_trace_flows(path, text):
-    try:
-        trace = json.loads(text)
-    except ValueError as e:
-        fail(path, 1, f"not valid JSON: {e}")
-    events = trace.get("traceEvents")
-    if not isinstance(events, list):
-        fail(path, 1, "missing traceEvents array")
-    flows = {}
-    for i, e in enumerate(events):
-        ph = e.get("ph")
-        if ph not in ("s", "f"):
-            continue
-        where = f"traceEvents[{i}]"
-        fid = e.get("id")
-        if not isinstance(fid, int) or isinstance(fid, bool) or fid < 0:
-            fail(path, 1, f"{where}: flow event {ph!r} without integer id")
-        if e.get("cat") != "shard-flow":
-            fail(path, 1, f"{where}: flow endpoint must carry cat 'shard-flow'")
-        if ph == "f" and e.get("bp") != "e":
-            fail(path, 1, f"{where}: flow finish must carry bp='e'")
-        s, f_ = flows.get(fid, (0, 0))
-        flows[fid] = (s + (ph == "s"), f_ + (ph == "f"))
-    for fid, (s, f_) in sorted(flows.items()):
-        if s != f_:
-            fail(path, 1, f"flow id {fid} has {s} start(s) but {f_} finish(es)")
-    print(f"{path}: ok ({len(events)} events, {len(flows)} flows paired)")
-
-
-HEARTBEAT_MAGIC = "hswx-heartbeat v1"
-LANE_KEYS = ("restarts", "stalls", "queue_hwm", "msgs")
-
-
-def check_heartbeat(path, lines):
-    if not lines or lines[0] != HEARTBEAT_MAGIC:
-        fail(path, 1, f"missing `{HEARTBEAT_MAGIC}` magic")
-    lanes = 0
-    for i, line in enumerate(lines[1:]):
-        line_no = i + 2
-        if not line:
-            continue
-        if "=" not in line:
-            fail(path, line_no, f"not a key=value line: {line!r}")
-        key, value = line.split("=", 1)
-        if key != "shard":
-            continue
-        # Repeatable lane line: `shard=ID k=v k=v ...`. The Rust reader
-        # skips malformed lanes; CI treats them as hard errors so a
-        # writer bug can't silently blank the dashboard panel.
-        fields = value.split()
-        if not fields or not fields[0].isdigit():
-            fail(path, line_no, f"lane line without integer lane id: {line!r}")
-        seen = {}
-        for pair in fields[1:]:
-            if "=" not in pair:
-                fail(path, line_no, f"malformed lane pair {pair!r}")
-            k, v = pair.split("=", 1)
-            if k in LANE_KEYS and not v.isdigit():
-                fail(path, line_no, f"lane key {k} has non-integer value {v!r}")
-            seen[k] = v
-            # Unknown keys fall through untouched: forward compatibility.
-        missing = [k for k in LANE_KEYS if k not in seen]
-        if missing:
-            fail(path, line_no, f"lane line missing {missing}: {line!r}")
-        lanes += 1
-    print(f"{path}: ok (heartbeat, {lanes} shard lanes)")
-
-
 def main():
     if len(sys.argv) < 2:
         sys.exit(__doc__.strip())
     for path in sys.argv[1:]:
         with open(path, encoding="utf-8") as f:
-            text = f.read()
-        lines = text.splitlines()
+            lines = f.read().splitlines()
         if path.endswith(".om"):
             check_openmetrics(path, lines)
-        elif path.endswith(".json"):
-            check_trace_flows(path, text)
-        elif path.endswith(".txt"):
-            check_heartbeat(path, lines)
         else:
             check_csv(path, lines)
 
