@@ -1,9 +1,9 @@
 //! Calibration anchors: paper measurement vs simulator.
 //!
 //! Every headline number from the paper's §VI (latency) and §VII
-//! (bandwidth) expressed as a runnable scenario. `bin/calibrate` prints the
-//! whole suite; integration tests assert the important ones within
-//! tolerances; `EXPERIMENTS.md` records the final values.
+//! (bandwidth) expressed as a runnable scenario. The `calibrate` campaign
+//! job prints the whole suite; integration tests assert the important
+//! ones within tolerances; `EXPERIMENTS.md` records the final values.
 
 use crate::scenarios::{
     aggregate_read, aggregate_write, first_core_of, nth_core_of, BandwidthScenario,

@@ -1,7 +1,9 @@
 //! # hswx-bench — experiment harness
 //!
-//! Shared scenario code for the binaries that regenerate every table and
-//! figure of the paper, plus the calibration anchor suite that checks the
+//! The campaign job registry that regenerates every table, figure and
+//! log of the paper's evaluation under `results/` (run by
+//! `hswx campaign`), the supervised runtime it runs on, the scenario code
+//! behind every number, and the calibration anchor suite that checks the
 //! simulator's emergent latencies/bandwidths against the paper's
 //! measurements.
 
@@ -18,48 +20,3 @@ pub use anchors::{bandwidth_anchors, latency_anchors, Anchor};
 pub use jobs::{JobCtx, JobOutput, JobSpec};
 pub use parallel::parallel_map;
 pub use supervisor::{select_jobs, CampaignSummary, Supervisor, SupervisorConfig};
-
-use hswx_haswell::report::{Figure, Table};
-use std::io;
-use std::path::Path;
-
-/// A result artifact that can persist itself as `<dir>/<id>.csv`.
-pub trait CsvArtifact {
-    /// File stem under the output directory.
-    fn id(&self) -> &str;
-    /// Write the CSV.
-    fn write(&self, dir: &Path) -> io::Result<()>;
-}
-
-impl CsvArtifact for Figure {
-    fn id(&self) -> &str {
-        &self.id
-    }
-    fn write(&self, dir: &Path) -> io::Result<()> {
-        self.write_csv(dir)
-    }
-}
-
-impl CsvArtifact for Table {
-    fn id(&self) -> &str {
-        &self.id
-    }
-    fn write(&self, dir: &Path) -> io::Result<()> {
-        self.write_csv(dir)
-    }
-}
-
-/// Save a figure/table CSV under `dir`, exiting with a diagnostic instead
-/// of panicking when the filesystem refuses (read-only checkout, missing
-/// permissions, full disk). Used by every `src/bin` regenerator so a
-/// failed write names the path and the I/O cause rather than unwinding.
-pub fn save_csv(artifact: &impl CsvArtifact, dir: &str) {
-    let dir = Path::new(dir);
-    if let Err(e) = artifact.write(dir) {
-        eprintln!(
-            "error: cannot write {}: {e}",
-            dir.join(format!("{}.csv", artifact.id())).display()
-        );
-        std::process::exit(1);
-    }
-}

@@ -9,9 +9,10 @@
 //! wall-clock deadline; the simulator walk loop polls that token, so a
 //! wedged sweep degrades into a typed `Cancelled` walk error (which the
 //! scenario surfaces as a panic) instead of hanging the campaign. Failed
-//! attempts retry up to a bound, perturbing the job seed with the golden
-//! ratio so a retried job never replays the exact same random choices:
-//! `seed ^ attempt * 0x9E37_79B9_7F4A_7C15`.
+//! attempts retry up to a bound. Every job is deterministic (the
+//! simulator seeds are constants), so a retry recomputes the same bytes:
+//! it recovers from host-side trouble such as a watchdog overrun on a
+//! loaded machine, not from an unlucky model draw.
 //!
 //! Completed jobs are committed to a crash-safe journal: every artifact
 //! file is written via tmp+`rename`, the journal records a per-job
@@ -41,11 +42,8 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Golden-ratio constant used to perturb the job seed per retry attempt.
-pub const RETRY_SEED_PERTURB: u64 = 0x9E37_79B9_7F4A_7C15;
-
 /// First line of every journal, bumped on format changes.
-const JOURNAL_MAGIC: &str = "hswx-campaign v1";
+const JOURNAL_MAGIC: &str = "hswx-campaign v2";
 
 /// Supervisor policy knobs.
 #[derive(Debug, Clone)]
@@ -58,8 +56,6 @@ pub struct SupervisorConfig {
     pub resume: bool,
     /// fsync the journal (and its directory) on every commit.
     pub fsync: bool,
-    /// Campaign seed; per-attempt seeds derive from it.
-    pub seed: u64,
     /// Attempts per job before it counts as failed (>= 1).
     pub max_attempts: u32,
     /// Per-job wall-clock watchdog deadline.
@@ -85,7 +81,6 @@ impl Default for SupervisorConfig {
             journal: PathBuf::from("results/campaign.journal"),
             resume: false,
             fsync: false,
-            seed: 0x1CC_2015,
             max_attempts: 2,
             job_deadline: None,
             time_budget: None,
@@ -200,7 +195,7 @@ impl fmt::Display for CampaignSummary {
         for r in &self.completed {
             writeln!(
                 f,
-                "{:<10} {} digest={:016x} attempts={}{}",
+                "{:<18} {} digest={:016x} attempts={}{}",
                 r.id,
                 if r.resumed { "skipped (journal)" } else { "done             " },
                 r.entry.digest,
@@ -209,10 +204,10 @@ impl fmt::Display for CampaignSummary {
             )?;
         }
         for (id, err) in &self.failed {
-            writeln!(f, "{id:<10} FAILED: {err}")?;
+            writeln!(f, "{id:<18} FAILED: {err}")?;
         }
         for id in &self.blocked {
-            writeln!(f, "{id:<10} BLOCKED (dependency failed)")?;
+            writeln!(f, "{id:<18} BLOCKED (dependency failed)")?;
         }
         let status = if !self.ok() {
             "completed with failures"
@@ -394,9 +389,7 @@ impl Supervisor {
         ));
         let mut last_err = String::from("job never ran");
         for attempt in 0..self.cfg.max_attempts.max(1) {
-            let seed = self.cfg.seed ^ (attempt as u64).wrapping_mul(RETRY_SEED_PERTURB);
-            let ctx =
-                JobCtx { seed, degraded, checkpoint: Some(Arc::clone(&checkpoint)) };
+            let ctx = JobCtx { degraded, checkpoint: Some(Arc::clone(&checkpoint)) };
             // The ambient token reaches every `System` the job constructs,
             // including inside nested parallel sweeps; a deadline overrun
             // turns the next walk into a typed Cancelled error. The
@@ -478,7 +471,7 @@ impl Supervisor {
     }
 
     fn persist_journal(&self, entries: &BTreeMap<String, JournalEntry>) -> Result<(), String> {
-        let mut text = format!("{JOURNAL_MAGIC} seed={}\n", self.cfg.seed);
+        let mut text = format!("{JOURNAL_MAGIC}\n");
         for (id, e) in entries {
             text.push_str(&format!(
                 "done {id} digest={:016x} attempts={} degraded={} files={}{}{}\n",
@@ -494,10 +487,11 @@ impl Supervisor {
             .map_err(|e| format!("{}: {e}", self.cfg.journal.display()))
     }
 
-    /// Parse the journal. A missing file is an empty journal; a journal
-    /// from a different seed is an error (its digests describe different
-    /// runs). Malformed body lines are skipped — the worst outcome of a
-    /// lost line is rerunning one deterministic job.
+    /// Parse the journal. A missing file is an empty journal; a file
+    /// whose header is not [`JOURNAL_MAGIC`] (another format version, or
+    /// not a journal at all) is an error. Malformed body lines are
+    /// skipped — the worst outcome of a lost line is rerunning one
+    /// deterministic job.
     fn load_journal(&self) -> Result<Vec<(String, JournalEntry)>, String> {
         let text = match std::fs::read_to_string(&self.cfg.journal) {
             Ok(t) => t,
@@ -506,20 +500,10 @@ impl Supervisor {
         };
         let mut lines = text.lines();
         let header = lines.next().unwrap_or_default();
-        let Some(seed_str) = header.strip_prefix(JOURNAL_MAGIC).map(str::trim) else {
+        if header != JOURNAL_MAGIC {
             return Err(format!(
-                "{}: not a campaign journal (header {header:?})",
+                "{}: not a {JOURNAL_MAGIC} journal (header {header:?}); start a fresh journal",
                 self.cfg.journal.display()
-            ));
-        };
-        let seed: u64 = seed_str.strip_prefix("seed=").and_then(|s| s.parse().ok()).ok_or_else(
-            || format!("{}: malformed journal header", self.cfg.journal.display()),
-        )?;
-        if seed != self.cfg.seed {
-            return Err(format!(
-                "journal was written by seed {seed}, campaign runs seed {} — \
-                 pass --seed {seed} or start a fresh journal",
-                self.cfg.seed
             ));
         }
         let mut out = Vec::new();
@@ -582,14 +566,13 @@ impl Supervisor {
                 text.push_str(&format!("# {name} {v}\n"));
             }
         }
-        // Exact reproduction recipe: the command, seed, reference-config
+        // Exact reproduction recipe: the command, reference-config
         // digest, and snapshot schema version this campaign ran under.
         // Comment-prefixed so one-line-per-artifact consumers are
         // unaffected.
         text.push_str(&format!(
-            "# reproduce: hswx campaign --seed {} --out <dir>  \
+            "# reproduce: hswx campaign --out <dir>  \
              (config digest {:016x}, snapshot schema v{})\n",
-            self.cfg.seed,
             hswx_haswell::SystemConfig::e5_2680_v3(hswx_haswell::CoherenceMode::SourceSnoop)
                 .digest(),
             hswx_haswell::SYSTEM_SNAPSHOT_SCHEMA,
@@ -757,12 +740,15 @@ mod tests {
         panic!("deliberate job failure");
     }
 
-    /// Fails on the un-perturbed seed, succeeds on any retry seed.
-    fn flaky_job(ctx: &JobCtx) -> JobOutput {
-        if ctx.seed == SupervisorConfig::default().seed {
+    /// Fails its first call on each worker thread and succeeds on the
+    /// retry, which the supervisor runs on the same thread.
+    fn flaky_job(_ctx: &JobCtx) -> JobOutput {
+        thread_local!(static CALLS: std::cell::Cell<u32> = const { std::cell::Cell::new(0) });
+        let calls = CALLS.replace(CALLS.get() + 1) + 1;
+        if calls == 1 {
             panic!("flaky first attempt");
         }
-        JobOutput { files: vec![("flaky.txt".into(), format!("seed={:x}\n", ctx.seed))] }
+        JobOutput { files: vec![("flaky.txt".into(), format!("call {calls}\n"))] }
     }
 
     /// Walks forever; only the ambient watchdog can stop it.
@@ -826,15 +812,17 @@ mod tests {
     }
 
     #[test]
-    fn resume_refuses_a_journal_from_another_seed() {
-        let dir = tmp_dir("seed");
-        let jobs = [JobSpec { id: "a", deps: &[], run: dep_job }];
-        assert!(Supervisor::new(cfg_for(&dir)).run(&jobs).unwrap().ok());
+    fn resume_refuses_a_v1_journal() {
+        let dir = tmp_dir("v1");
+        std::fs::create_dir_all(&dir).unwrap();
+        let v1 = "hswx-campaign v1 seed=30154773\n\
+                  done a digest=00000000000000ff attempts=1 degraded=0 files=dep.txt\n";
+        std::fs::write(dir.join("campaign.journal"), v1).unwrap();
         let mut cfg = cfg_for(&dir);
         cfg.resume = true;
-        cfg.seed ^= 1;
+        let jobs = [JobSpec { id: "a", deps: &[], run: dep_job }];
         let err = Supervisor::new(cfg).run(&jobs).unwrap_err();
-        assert!(err.contains("seed"), "{err}");
+        assert!(err.contains("not a hswx-campaign v2 journal"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -857,15 +845,14 @@ mod tests {
     }
 
     #[test]
-    fn bounded_retry_perturbs_the_seed() {
+    fn bounded_retry_reruns_a_failed_attempt() {
         let dir = tmp_dir("retry");
         let jobs = [JobSpec { id: "flaky", deps: &[], run: flaky_job }];
         let summary = Supervisor::new(cfg_for(&dir)).run(&jobs).unwrap();
         assert!(summary.ok(), "{summary}");
         assert_eq!(summary.completed[0].entry.attempts, 2);
         let body = std::fs::read_to_string(dir.join("flaky.txt")).unwrap();
-        let expect = SupervisorConfig::default().seed ^ RETRY_SEED_PERTURB;
-        assert_eq!(body, format!("seed={expect:x}\n"));
+        assert_eq!(body, "call 2\n");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -998,7 +985,7 @@ mod tests {
             .lines()
             .find(|l| l.starts_with("# reproduce:"))
             .unwrap_or_else(|| panic!("no reproduce line in {manifest}"));
-        assert!(line.contains("--seed"), "{line}");
+        assert!(line.contains("hswx campaign --out <dir>"), "{line}");
         assert!(line.contains("config digest"), "{line}");
         assert!(line.contains("snapshot schema v"), "{line}");
         let _ = std::fs::remove_dir_all(&dir);

@@ -28,11 +28,12 @@ USAGE:
                   detects every injected corruption — and that recoverable
                   transients heal transparently — in all three modes;
                   --json additionally writes the matrix as JSON)
-  hswx campaign  [--out DIR] [--journal FILE] [--resume] [--fsync] [--seed N]
+  hswx campaign  [--out DIR] [--journal FILE] [--resume] [--fsync]
                  [--jobs a,b,..] [--attempts N] [--deadline-ms N]
                  [--time-budget-ms N] [--degraded] [--metrics-json FILE]
                  [--telemetry BASE]
-                 (supervised figure/table regeneration: dependency-aware
+                 (supervised regeneration of every figure/table artifact
+                  under results/, or the --jobs subset: dependency-aware
                   job queue with watchdog deadlines, bounded retry, and a
                   crash-safe journal; --resume skips journaled jobs;
                   --metrics-json exports campaign-total protocol counters;
@@ -610,7 +611,6 @@ pub fn campaign(argv: &[String]) -> Result<(), String> {
             "out",
             "journal",
             "telemetry",
-            "seed",
             "attempts",
             "deadline-ms",
             "time-budget-ms",
@@ -633,7 +633,6 @@ pub fn campaign(argv: &[String]) -> Result<(), String> {
     };
     let telemetry_base = flags.map_get("telemetry").map(str::to_string);
     cfg.telemetry = telemetry_base.is_some();
-    cfg.seed = flags.get_parse("seed", cfg.seed)?;
     cfg.max_attempts = flags.get_parse("attempts", cfg.max_attempts)?;
     if cfg.max_attempts == 0 {
         return Err("--attempts must be at least 1".into());

@@ -1,14 +1,13 @@
 //! Result plumbing: series, tables, CSV.
 //!
-//! Shared by the bench harness binaries that regenerate each paper table
-//! and figure. A figure is a set of [`Series`] (size → value curves); a
-//! table is rows of labelled cells. Everything prints as aligned text and
-//! writes machine-readable CSV under `results/`.
+//! Shared by the campaign jobs that regenerate each paper table and
+//! figure (`hswx_bench::jobs`). A figure is a set of [`Series`] (size →
+//! value curves); a table is rows of labelled cells. Everything renders
+//! as aligned text and as the machine-readable CSV committed under
+//! `results/`.
 
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
-use std::io;
-use std::path::Path;
 
 /// One curve of a figure: label plus (x, y) points.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -91,9 +90,8 @@ impl Figure {
         out
     }
 
-    /// CSV rendering (long format: series,x,y) — the exact bytes
-    /// [`write_csv`](Self::write_csv) persists, exposed separately so
-    /// campaign journals can digest an artifact without touching disk.
+    /// CSV rendering (long format: series,x,y) — the exact bytes of the
+    /// artifact a campaign writes and digests.
     pub fn csv_body(&self) -> String {
         let mut body = String::from("series,x,y\n");
         for s in &self.series {
@@ -102,13 +100,6 @@ impl Figure {
             }
         }
         body
-    }
-
-    /// Write `results/<id>.csv` atomically (tmp + rename): a crash or
-    /// kill mid-write never leaves a truncated artifact behind.
-    pub fn write_csv(&self, dir: impl AsRef<Path>) -> io::Result<()> {
-        let path = dir.as_ref().join(format!("{}.csv", self.id));
-        hswx_engine::atomic_write(&path, self.csv_body().as_bytes(), false)
     }
 }
 
@@ -173,8 +164,8 @@ impl Table {
         out
     }
 
-    /// CSV rendering — the exact bytes [`write_csv`](Self::write_csv)
-    /// persists (see [`Figure::csv_body`]).
+    /// CSV rendering — the exact bytes of the artifact a campaign writes
+    /// and digests (see [`Figure::csv_body`]).
     pub fn csv_body(&self) -> String {
         let mut body = self.columns.join(",");
         body.push('\n');
@@ -187,12 +178,6 @@ impl Table {
             body.push('\n');
         }
         body
-    }
-
-    /// Write `results/<id>.csv` atomically (tmp + rename).
-    pub fn write_csv(&self, dir: impl AsRef<Path>) -> io::Result<()> {
-        let path = dir.as_ref().join(format!("{}.csv", self.id));
-        hswx_engine::atomic_write(&path, self.csv_body().as_bytes(), false)
     }
 }
 
@@ -274,16 +259,5 @@ mod tests {
         assert_eq!(*v.first().unwrap(), 4 * 1024);
         assert!(*v.last().unwrap() <= 256 * 1024 * 1024);
         assert!(v.len() > 20);
-    }
-
-    #[test]
-    fn csv_written_to_dir() {
-        let dir = std::env::temp_dir().join("hswx_report_test");
-        let mut t = Table::new("t_csv", &["case", "v"]);
-        t.row_f("x", &[1.0]);
-        t.write_csv(&dir).unwrap();
-        let content = std::fs::read_to_string(dir.join("t_csv.csv")).unwrap();
-        assert!(content.contains("case,v"));
-        std::fs::remove_dir_all(dir).ok();
     }
 }
