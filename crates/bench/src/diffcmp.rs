@@ -3,9 +3,9 @@
 //! Takes two runs' exports (metrics-registry JSON, optionally telemetry
 //! CSV) and localizes what changed to *named hardware components*: every
 //! counter and telemetry channel is prefixed with the component that owns
-//! it (`qpi.crc_replays`, `dram.busy_ps`, ...), so grouping by prefix and
+//! it (`qpi.busy_ps`, `dram.busy_ps`, ...), so grouping by prefix and
 //! ranking by relative delta turns "run B is slower" into "the QPI link
-//! replayed 40× more flits".
+//! was busy 40× longer".
 //!
 //! The ranking metric is the largest relative delta among a component's
 //! counters, `|b - a| / max(1, a)` — a ratio, not an absolute, so a
@@ -19,7 +19,7 @@ use std::collections::BTreeMap;
 /// One counter (or telemetry channel) compared across the two runs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeltaRow {
-    /// Counter name (`qpi.crc_replays`).
+    /// Counter name (`qpi.busy_ps`).
     pub name: String,
     /// Value in run A.
     pub a: u64,
@@ -50,7 +50,6 @@ pub fn component_of(counter: &str) -> &'static str {
         "directory" => "in-memory directory",
         "dram" => "DRAM",
         "snoop" => "snoop fabric",
-        "recovery" => "fault recovery",
         "ring" => "ring interconnect",
         "cbo" => "CBo caching agent",
         "ha" => "home agent",
@@ -190,22 +189,22 @@ mod tests {
             ("directory.reads".into(), 900),
             ("dram.reads".into(), 1000),
             ("hitme.hits".into(), 400),
+            ("qpi.busy_ps".into(), 2_000),
             ("qpi.bytes".into(), 64_000),
-            ("recovery.crc_retries".into(), 2),
             ("snoop.sent".into(), 500),
             ("sys.walks".into(), 10_000),
         ]
     }
 
     #[test]
-    fn injected_qpi_retry_slowdown_ranks_qpi_first() {
-        // Run B: the QPI link degraded — CRC retries exploded and replay
-        // traffic inflated the byte count. Everything else wobbles a bit.
+    fn qpi_slowdown_ranks_qpi_first() {
+        // Run B: the QPI link degraded — its busy time exploded and the
+        // byte count grew. Everything else wobbles a bit.
         let a = baseline();
         let mut b = baseline();
         for (n, v) in &mut b {
             match n.as_str() {
-                "recovery.crc_retries" => *v = 160,
+                "qpi.busy_ps" => *v = 160_000,
                 "qpi.bytes" => *v = 96_000,
                 "sys.walks" => *v = 10_050,
                 "snoop.sent" => *v = 505,
@@ -213,13 +212,13 @@ mod tests {
             }
         }
         let ranked = rank_deltas(&a, &b);
-        assert_eq!(ranked[0].component, "fault recovery");
-        assert_eq!(ranked[0].rows[0].name, "recovery.crc_retries");
-        assert_eq!(ranked[1].component, "QPI link");
-        // The two link-degradation components dominate everything else.
-        assert!(ranked[1].score > ranked[2].score * 5.0, "{ranked:?}");
+        assert_eq!(ranked[0].component, "QPI link");
+        assert_eq!(ranked[0].rows[0].name, "qpi.busy_ps");
+        assert_eq!(ranked[0].rows[1].name, "qpi.bytes");
+        // The degraded link dominates everything else.
+        assert!(ranked[0].score > ranked[1].score * 5.0, "{ranked:?}");
         let table = render_table("protocol counters", &ranked);
-        assert!(table.contains("recovery.crc_retries"), "{table}");
+        assert!(table.contains("qpi.busy_ps"), "{table}");
         assert!(table.contains("QPI link"), "{table}");
         assert!(!table.contains("hitme.hits"), "unchanged row printed: {table}");
     }
@@ -273,7 +272,6 @@ mod tests {
             ("directory.writes", "in-memory directory"),
             ("dram.busy_ps", "DRAM"),
             ("snoop.dir_broadcasts", "snoop fabric"),
-            ("recovery.dir_rereads", "fault recovery"),
             ("ring.busy_ps", "ring interconnect"),
             ("cbo.tag_busy_ps", "CBo caching agent"),
             ("ha.tracker_wait_ps", "home agent"),

@@ -32,7 +32,7 @@ use crate::checkpoint::CheckpointStore;
 use crate::jobs::{JobCtx, JobOutput, JobSpec};
 use crate::parallel::{panic_message, parallel_try_map};
 use hswx_engine::{
-    atomic_write, fnv1a64, fnv1a64_extend, CancelToken, Heartbeat, MetricsRegistry, TelemetryHub,
+    atomic_write, fnv1a64, fnv1a64_extend, CancelToken, MetricsRegistry, TelemetryHub,
     TelemetrySampler,
 };
 use std::collections::BTreeMap;
@@ -103,7 +103,7 @@ pub struct JournalEntry {
     pub files: Vec<String>,
     /// Counter snapshot from the job's successful attempt (sorted by
     /// name): every simulator the job built drained its walk, snoop,
-    /// HitME, directory, DRAM, QPI, and recovery counters here. Not part
+    /// HitME, directory, DRAM, and QPI counters here. Not part
     /// of the artifact digest — metrics describe the run, not the result.
     pub metrics: Vec<(String, u64)>,
     /// Per-channel telemetry totals (sorted by name), present when the
@@ -273,24 +273,6 @@ impl Supervisor {
         let mut pending: Vec<&JobSpec> =
             jobs.iter().filter(|j| !resumed.contains_key(j.id)).collect();
 
-        // Live progress for `hswx top`: rewritten (atomically) on every
-        // job state change, so a tailing dashboard never sees a torn
-        // frame and a crashed campaign leaves its last true state behind.
-        let hb_path = cfg.out_dir.join("heartbeat.txt");
-        let heartbeat = Mutex::new({
-            let mut hb = Heartbeat::start("campaign", jobs.len() as u64);
-            hb.done = resumed.len() as u64;
-            hb
-        });
-        let beat = |update: &mut dyn FnMut(&mut Heartbeat)| {
-            let mut hb = heartbeat.lock().unwrap_or_else(|e| e.into_inner());
-            hb.elapsed_ms = start.elapsed().as_millis() as u64;
-            update(&mut hb);
-            hb.update_eta();
-            let _ = hb.write(&hb_path);
-        };
-        beat(&mut |_| {});
-
         while !pending.is_empty() {
             let done_ids: Vec<String> =
                 state.lock().unwrap_or_else(|e| e.into_inner()).keys().cloned().collect();
@@ -307,26 +289,9 @@ impl Supervisor {
             let (results, panics) = parallel_try_map(ready.clone(), |job| {
                 let degraded = cfg.force_degraded
                     || cfg.time_budget.is_some_and(|b| start.elapsed() > b);
-                beat(&mut |hb| hb.inflight += 1);
-                let attempt_result = self.attempt(job, degraded);
-                let (output, attempts, metrics, sampler) = match attempt_result {
-                    Ok(r) => r,
-                    Err(e) => {
-                        beat(&mut |hb| {
-                            hb.inflight = hb.inflight.saturating_sub(1);
-                            hb.failed += 1;
-                        });
-                        return Err(e);
-                    }
-                };
+                let (output, attempts, metrics, sampler) = self.attempt(job, degraded)?;
                 let entry =
                     self.commit(job, &output, attempts, degraded, metrics, &sampler, &state)?;
-                beat(&mut |hb| {
-                    hb.inflight = hb.inflight.saturating_sub(1);
-                    hb.done += 1;
-                    hb.retries += (attempts - 1) as u64;
-                    add_totals(&mut hb.metrics, &entry.metrics);
-                });
                 Ok::<(JournalEntry, bool, Option<TelemetrySampler>), String>((
                     entry, degraded, sampler,
                 ))
@@ -354,12 +319,6 @@ impl Supervisor {
         }
         summary.blocked = pending.iter().map(|j| j.id.to_string()).collect();
         self.write_manifest(&state.lock().unwrap_or_else(|e| e.into_inner()))?;
-        beat(&mut |hb| {
-            hb.inflight = 0;
-            hb.failed = summary.failed.len() as u64;
-            hb.status =
-                if summary.ok() { "done".to_string() } else { "failed".to_string() };
-        });
         Ok(summary)
     }
 
@@ -617,16 +576,6 @@ fn parse_totals(v: &str) -> Vec<(String, u64)> {
         .collect()
 }
 
-/// Fold `add` into `totals` (both sorted by name), keeping the sort.
-fn add_totals(totals: &mut Vec<(String, u64)>, add: &[(String, u64)]) {
-    for (name, v) in add {
-        match totals.binary_search_by(|(n, _)| n.as_str().cmp(name)) {
-            Ok(i) => totals[i].1 += v,
-            Err(i) => totals.insert(i, (name.clone(), *v)),
-        }
-    }
-}
-
 fn parse_done_line(line: &str) -> Option<(String, JournalEntry)> {
     let mut parts = line.split_whitespace();
     if parts.next()? != "done" {
@@ -837,6 +786,7 @@ mod tests {
             JobSpec { id: "indep", deps: &[], run: dep_job },
         ];
         let summary = Supervisor::new(cfg).run(&jobs).unwrap();
+        assert!(!summary.ok(), "{summary}");
         assert_eq!(summary.failed.len(), 1);
         assert!(summary.failed[0].1.contains("deliberate job failure"));
         assert_eq!(summary.blocked, vec!["child".to_string()]);
@@ -1044,54 +994,13 @@ mod tests {
         assert!(summary.completed[0].sampler.is_none());
         assert!(summary.completed[0].entry.telemetry.is_empty());
         assert!(summary.telemetry_merged().is_none());
+        // Counters flow with telemetry off: sim_job's simulator drained
+        // them ambiently into the job's entry.
+        let totals = summary.metrics_totals();
+        assert!(totals.iter().any(|(n, v)| n == "sys.walks" && *v > 0), "{totals:?}");
         let journal = std::fs::read_to_string(dir.join("campaign.journal")).unwrap();
         assert!(!journal.contains("telemetry="), "{journal}");
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn heartbeat_reaches_done_with_accurate_counts() {
-        let dir = tmp_dir("heartbeat");
-        let jobs = [
-            JobSpec { id: "sim", deps: &[], run: sim_job },
-            JobSpec { id: "flaky", deps: &[], run: flaky_job },
-        ];
-        let summary = Supervisor::new(cfg_for(&dir)).run(&jobs).unwrap();
-        assert!(summary.ok(), "{summary}");
-        let hb = Heartbeat::read(&dir.join("heartbeat.txt")).unwrap().unwrap();
-        assert_eq!(hb.kind, "campaign");
-        assert_eq!(hb.status, "done");
-        assert_eq!((hb.total, hb.done, hb.failed, hb.inflight), (2, 2, 0, 0));
-        assert_eq!(hb.retries, 1, "flaky's extra attempt should count as a retry");
-        // sim_job's simulator drained its counters ambiently; the beat
-        // folded them into the heartbeat totals.
-        assert!(hb.metrics.iter().any(|(n, v)| n == "sys.walks" && *v > 0), "{:?}", hb.metrics);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn heartbeat_reports_failure_status() {
-        let dir = tmp_dir("heartbeat-fail");
-        let mut cfg = cfg_for(&dir);
-        cfg.max_attempts = 1;
-        let jobs = [JobSpec { id: "bad", deps: &[], run: always_panics }];
-        let summary = Supervisor::new(cfg).run(&jobs).unwrap();
-        assert!(!summary.ok());
-        let hb = Heartbeat::read(&dir.join("heartbeat.txt")).unwrap().unwrap();
-        assert_eq!(hb.status, "failed");
-        assert_eq!((hb.done, hb.failed), (0, 1));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn add_totals_merges_sorted_snapshots() {
-        let mut totals = vec![("b".to_string(), 2u64)];
-        add_totals(&mut totals, &[("a".to_string(), 1), ("b".to_string(), 3)]);
-        add_totals(&mut totals, &[("c".to_string(), 9)]);
-        assert_eq!(
-            totals,
-            vec![("a".to_string(), 1), ("b".to_string(), 5), ("c".to_string(), 9)]
-        );
     }
 
     #[test]

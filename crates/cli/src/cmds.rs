@@ -25,8 +25,7 @@ USAGE:
   hswx faultcheck [--plan FILE] [--seed N] [--trials N] [--classes a,b,..] [--quick]
                  [--json FILE]
                  (fault-injection campaign: asserts the invariant monitor
-                  detects every injected corruption — and that recoverable
-                  transients heal transparently — in all three modes;
+                  detects every injected corruption in all three modes;
                   --json additionally writes the matrix as JSON)
   hswx campaign  [--out DIR] [--journal FILE] [--resume] [--fsync]
                  [--jobs a,b,..] [--attempts N] [--deadline-ms N]
@@ -50,14 +49,6 @@ USAGE:
                   --check-history instead gates the newest history entry
                   against each kernel's trailing median, nonzero exit on
                   a >tolerance drop — the CI trend gate)
-  hswx soak      [--budget 60s|1500ms|N] [--seed N] [--out DIR] [--report FILE]
-                 [--metrics-json FILE]
-                 (randomized chaos soak: mixed walks + recoverable fault
-                  injection + mid-stream snapshot/restore round-trips +
-                  cancellation storms under the strict monitor for a
-                  wall-clock budget; exits nonzero on any violation or
-                  snapshot mismatch; --out keeps failing snapshot pairs,
-                  --report writes the JSON soak report)
   hswx trace     [latency flags] [--accesses N] [--out FILE]
                  (run a placed-state scenario with the span tracer armed:
                   writes Chrome/Perfetto trace-event JSON and prints a
@@ -69,11 +60,6 @@ USAGE:
                  (compare two runs' metrics JSON exports — files or run
                   directories — and rank the regression by hardware
                   component; directories also diff telemetry.csv)
-  hswx top       [--dir DIR] [--frames N] [--interval-ms N] [--plain] [--once]
-                 (live dashboard tailing DIR/heartbeat.txt from a running
-                  campaign or soak: progress, retries, ETA, per-component
-                  activity sparklines; torn/partial heartbeat reads are
-                  skipped and retried; exits when the driver finishes)
 
 EXAMPLES:
   hswx latency --state M --level l1 --placer 1 --measurer 0
@@ -84,8 +70,6 @@ EXAMPLES:
   hswx faultcheck --quick
   hswx campaign --out results --resume --metrics-json results/metrics.json
   hswx campaign --out results --telemetry results/telemetry
-  hswx soak --budget 60s --seed 7 --report soak.json
-  hswx top --dir results
   hswx explain diff runA/metrics.json runB/metrics.json
   hswx perfbench --quick";
 
@@ -533,12 +517,6 @@ fn describe(step: &hswx_haswell::ProtoStep) -> String {
         }
         DirectoryRead { state } => format!("in-memory directory read: {state:?}"),
         MemoryReply => "home memory supplies the data".into(),
-        LinkRetry { retries } => format!(
-            "QPI CRC error: link layer replays the flit ({retries} retransmission{})",
-            if *retries == 1 { "" } else { "s" }
-        ),
-        DirectoryRetry => "transient directory read glitch: ECC bits re-read".into(),
-        HitMeRetry => "transient HitME SRAM glitch: directory cache re-read".into(),
     }
 }
 
@@ -597,7 +575,7 @@ pub fn faultcheck(argv: &[String]) -> Result<(), String> {
     if report.all_detected() {
         Ok(())
     } else {
-        Err("fault-injection campaign found detection or recovery gaps (matrix above)".into())
+        Err("fault-injection campaign found detection gaps (matrix above)".into())
     }
 }
 
@@ -736,60 +714,6 @@ fn write_campaign_trace(path: &std::path::Path) -> Result<(), String> {
         .map_err(|e| format!("{}: {e}", path.display()))
 }
 
-/// Parse a wall-clock budget: plain seconds (`90`), `60s`, or `1500ms`.
-fn budget_of(s: &str) -> Result<std::time::Duration, String> {
-    let (num, unit_ms) = if let Some(v) = s.strip_suffix("ms") {
-        (v, 1u64)
-    } else if let Some(v) = s.strip_suffix('s') {
-        (v, 1000)
-    } else {
-        (s, 1000)
-    };
-    let n: u64 = num
-        .trim()
-        .parse()
-        .map_err(|_| format!("bad --budget {s} (expected e.g. 90, 60s, or 1500ms)"))?;
-    Ok(std::time::Duration::from_millis(n.saturating_mul(unit_ms)))
-}
-
-/// `hswx soak` — randomized chaos soak under a wall-clock budget: mixed
-/// walk campaigns with recoverable fault injection, mid-stream
-/// snapshot/restore round-trips (in memory and through files), and
-/// cancellation storms, all under the strict invariant monitor. Exits
-/// nonzero on any monitor violation or snapshot mismatch.
-pub fn soak(argv: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(argv, &["budget", "seed", "out", "report", "metrics-json"], &[])?;
-    let budget = budget_of(flags.get("budget", "30s"))?;
-    let cfg = hswx_verify::SoakConfig {
-        budget,
-        seed: flags.get_parse("seed", 0xC0FFEEu64)?,
-        out_dir: flags.map_get("out").map(std::path::PathBuf::from),
-    };
-    let report = hswx_verify::run_soak(&cfg);
-    print!("{report}");
-    if let Some(path) = flags.map_get("report") {
-        hswx_engine::atomic_write(std::path::Path::new(path), report.to_json().as_bytes(), false)
-            .map_err(|e| format!("{path}: {e}"))?;
-        println!("soak report written to {path}");
-    }
-    // Metrics-registry JSON export, same schema as `campaign
-    // --metrics-json`, so soak runs diff against campaigns and each other.
-    if let Some(path) = flags.map_get("metrics-json") {
-        let reg = hswx_engine::MetricsRegistry::new();
-        for (name, v) in &report.metrics {
-            reg.counter(name).fetch_add(*v, std::sync::atomic::Ordering::Relaxed);
-        }
-        hswx_engine::atomic_write(std::path::Path::new(path), reg.to_json().as_bytes(), false)
-            .map_err(|e| format!("{path}: {e}"))?;
-        println!("metrics exported to {path}");
-    }
-    if report.ok() {
-        Ok(())
-    } else {
-        Err("chaos soak found violations or snapshot mismatches (report above)".into())
-    }
-}
-
 /// `hswx perfbench` — measure simulator host throughput on the fixed walk
 /// kernels and compare against the committed `BENCH_perf.json` baseline.
 ///
@@ -908,75 +832,6 @@ pub fn perfbench(argv: &[String]) -> Result<(), String> {
                 lines.len(),
                 tolerance * 100.0
             ))
-        }
-    }
-}
-
-/// `hswx top` — live dashboard tailing `<dir>/heartbeat.txt` from a
-/// running campaign or soak (see [`crate::top`] for the renderer).
-/// Polls every `--interval-ms`, exits once the driver's status leaves
-/// `running` (or after `--frames` frames; `--once` renders exactly one).
-/// `--plain` prints ASCII frames sequentially instead of ANSI redraws —
-/// for logs, pipes, and tests.
-pub fn top(argv: &[String]) -> Result<(), String> {
-    use std::io::Write;
-    let flags = Flags::parse(argv, &["dir", "interval-ms", "frames"], &["plain", "once"])?;
-    let dir = std::path::PathBuf::from(flags.get("dir", "results"));
-    let path = dir.join("heartbeat.txt");
-    let interval =
-        std::time::Duration::from_millis(flags.get_parse("interval-ms", 500u64)?.max(10));
-    let plain = flags.has("plain");
-    let max_frames = if flags.has("once") { 1 } else { flags.get_parse("frames", 0u64)? };
-
-    let mut history = crate::top::History::default();
-    let mut rendered = 0u64;
-    let mut waited = std::time::Duration::ZERO;
-    let mut unreadable = 0u32;
-    loop {
-        match crate::top::ingest(&path) {
-            crate::top::Ingest::Unreadable(e) => {
-                // A torn or partial frame (the drivers write atomically,
-                // but copies, network mounts, or foreign writers need
-                // not): skip and retry instead of dying mid-watch. Only a
-                // persistently unreadable file is a real error.
-                unreadable += 1;
-                if unreadable >= crate::top::MAX_UNREADABLE {
-                    return Err(format!(
-                        "{e} ({unreadable} consecutive unreadable frames)"
-                    ));
-                }
-                std::thread::sleep(interval);
-            }
-            crate::top::Ingest::Absent if rendered == 0 => {
-                // Driver still starting up: wait for the first frame, but
-                // not forever — a wrong --dir should fail, not hang.
-                unreadable = 0;
-                if waited >= std::time::Duration::from_secs(30) {
-                    return Err(format!("no heartbeat at {} after 30s", path.display()));
-                }
-                if waited.is_zero() {
-                    eprintln!("waiting for a heartbeat at {} ...", path.display());
-                }
-                std::thread::sleep(interval);
-                waited += interval;
-            }
-            crate::top::Ingest::Absent => return Ok(()), // out dir cleaned up mid-watch
-            crate::top::Ingest::Frame(hb) => {
-                unreadable = 0;
-                history.observe(&hb.metrics);
-                let frame = crate::top::render_frame(&hb, &history, plain);
-                if plain {
-                    println!("{frame}");
-                } else {
-                    print!("\x1b[2J\x1b[H{frame}");
-                }
-                let _ = std::io::stdout().flush();
-                rendered += 1;
-                if hb.status != "running" || (max_frames > 0 && rendered >= max_frames) {
-                    return Ok(());
-                }
-                std::thread::sleep(interval);
-            }
         }
     }
 }

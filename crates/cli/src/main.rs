@@ -13,8 +13,6 @@
 //! hswx apps      [--accesses N]
 //! hswx faultcheck [--quick] [--json FILE]
 //! hswx campaign  [--resume] [--time-budget-ms N] [--jobs a,b,..]
-//! hswx soak      [--budget 60s] [--seed N] [--out DIR] [--report FILE]
-//! hswx top       [--dir DIR] [--frames N] [--interval-ms N] [--plain]
 //! hswx perfbench [--quick] [--baseline FILE] [--write-baseline]
 //!                [--check-history] [--history FILE]
 //! ```
@@ -23,7 +21,6 @@
 
 mod args;
 mod cmds;
-mod top;
 
 use std::process::ExitCode;
 
@@ -43,8 +40,6 @@ fn main() -> ExitCode {
         "apps" => cmds::apps(rest),
         "faultcheck" => cmds::faultcheck(rest),
         "campaign" => cmds::campaign(rest),
-        "soak" => cmds::soak(rest),
-        "top" => cmds::top(rest),
         "perfbench" => cmds::perfbench(rest),
         "help" | "--help" | "-h" => {
             println!("{}", cmds::USAGE);

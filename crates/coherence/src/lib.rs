@@ -18,8 +18,6 @@
 //! * [`decision`] — pure decision tables: what a caching agent does with a
 //!   core request given its L3 lookup, and which snoops a home agent sends
 //!   under source snooping, home snooping, or home snooping + directory.
-//! * [`link`] — the QPI link layer's CRC-retransmit rules: bounded retries
-//!   that recover corrupted flits transparently, paying only latency.
 //!
 //! The `hswx-haswell` crate drives these rules inside the discrete-event
 //! system and attaches latencies/bandwidths to each step.
@@ -28,7 +26,6 @@ pub mod decision;
 pub mod dir;
 pub mod hitme;
 pub mod l3meta;
-pub mod link;
 pub mod presence;
 pub mod state;
 
@@ -39,7 +36,6 @@ pub use decision::{
 };
 pub use hitme::HitMeEntry;
 pub use dir::InMemoryDirectory;
-pub use link::{LinkOutcome, LinkRetryPolicy};
 pub use hitme::HitMeCache;
 pub use l3meta::L3Meta;
 pub use presence::NodeSet;

@@ -59,30 +59,6 @@ pub enum SimError {
         /// Protocol steps recorded for the failing access.
         transcript: Vec<(SimTime, ProtoStep)>,
     },
-    /// The walk consumed a poisoned line. The access is aborted *before*
-    /// any protocol state changes — the containment real hardware gets
-    /// from data poisoning — so the rest of the simulation is unharmed.
-    Poisoned {
-        /// Requesting core.
-        core: CoreId,
-        /// The poisoned line.
-        line: LineAddr,
-        /// Protocol steps recorded for the failing access.
-        transcript: Vec<(SimTime, ProtoStep)>,
-    },
-    /// A QPI message exhausted the link layer's retry buffer: a CRC-error
-    /// burst outlived the retransmit bound, which real hardware escalates
-    /// to a machine-check. The walk that sent the message is aborted.
-    QpiLinkFailure {
-        /// Requesting core.
-        core: CoreId,
-        /// Requested line.
-        line: LineAddr,
-        /// Retransmissions attempted before the link gave up.
-        retries: u32,
-        /// Protocol steps recorded for the failing access.
-        transcript: Vec<(SimTime, ProtoStep)>,
-    },
     /// The supervising harness cancelled the run (watchdog deadline or
     /// explicit abort); the walk stopped before touching any state.
     Cancelled {
@@ -102,8 +78,6 @@ impl SimError {
             SimError::UnexpectedAction { transcript, .. }
             | SimError::InvariantViolation { transcript, .. }
             | SimError::WalkWatchdog { transcript, .. }
-            | SimError::Poisoned { transcript, .. }
-            | SimError::QpiLinkFailure { transcript, .. }
             | SimError::Cancelled { transcript, .. } => transcript,
         }
     }
@@ -151,16 +125,6 @@ impl fmt::Display for SimError {
                      (limit {limit_ns:.1}) in {steps} protocol messages (limit {step_limit})"
                 )
             }
-            SimError::Poisoned { core, line, .. } => write!(
-                f,
-                "poisoned data consumed: access by core {core:?} to line {line:?} aborted \
-                 before any state change"
-            ),
-            SimError::QpiLinkFailure { core, line, retries, .. } => write!(
-                f,
-                "QPI link failure: message for core {core:?} line {line:?} still corrupt \
-                 after {retries} retransmissions (retry buffer exhausted)"
-            ),
             SimError::Cancelled { core, line, .. } => write!(
                 f,
                 "run cancelled by supervisor before access by core {core:?} to line {line:?}"

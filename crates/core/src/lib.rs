@@ -51,7 +51,6 @@ pub mod system;
 pub use calib::Calib;
 pub use config::{CoherenceMode, ConfigError, SystemConfig};
 pub use error::SimError;
-pub use inject::RecoveryStats;
 pub use monitor::{MonitorConfig, Violation};
 pub use snapshot::SYSTEM_SNAPSHOT_SCHEMA;
 pub use placement::{PlacedState, Placement};

@@ -43,12 +43,16 @@ use std::path::Path;
 /// continues its simulated-time series without double-counted or missing
 /// buckets.
 ///
-/// v3 appended the sharded-runtime recovery counters
-/// (`RecoveryStats::shard_restarts` / `shard_watchdog_kills`).
+/// v3 appended two sharded-runtime counters (shard restarts and shard
+/// watchdog kills).
 ///
 /// v4 dropped those two counters again, together with the sharded
 /// runtime that produced them.
-pub const SYSTEM_SNAPSHOT_SCHEMA: u32 = 4;
+///
+/// v5 dropped the six recovery fault fields (pending QPI CRC errors, link
+/// retry bound, link-failure latch, directory and HitME glitches, poisoned
+/// lines) and the six recovery counters, with the fault-recovery model.
+pub const SYSTEM_SNAPSHOT_SCHEMA: u32 = 5;
 
 fn corrupt(what: &'static str, detail: String) -> SnapshotError {
     SnapshotError::Corrupt { what, detail }
@@ -482,21 +486,6 @@ impl System {
         w.u32(f.drop_snoops);
         w.u32(f.delay_snoops);
         w.f64(f.delay_ns);
-        w.u32(f.qpi_crc);
-        w.u32(f.link_retry.max_retries);
-        match f.link_failed {
-            Some(v) => {
-                w.bool(true);
-                w.u32(v);
-            }
-            None => w.bool(false),
-        }
-        w.u32(f.dir_glitch);
-        w.u32(f.hitme_glitch);
-        w.seq(f.poisoned.len());
-        for l in &f.poisoned {
-            w.u64(l.0);
-        }
 
         match &self.monitor {
             Some(m) => {
@@ -526,13 +515,6 @@ impl System {
         w.u64(self.stats.remote_dram_fwd);
         w.u64(self.stats.remote_cache_fwd);
         w.u64(self.stats.dram_writebacks);
-
-        w.u64(self.recovery.crc_messages);
-        w.u64(self.recovery.crc_retries);
-        w.u64(self.recovery.link_failures);
-        w.u64(self.recovery.dir_retries);
-        w.u64(self.recovery.hitme_retries);
-        w.u64(self.recovery.poison_blocked);
 
         // `walk_snoop_base` is deliberately absent: it is per-walk scratch
         // (every walk's prologue overwrites it) and snapshots are only
@@ -643,16 +625,6 @@ impl System {
         sys.faults.drop_snoops = r.u32()?;
         sys.faults.delay_snoops = r.u32()?;
         sys.faults.delay_ns = r.f64()?;
-        sys.faults.qpi_crc = r.u32()?;
-        sys.faults.link_retry.max_retries = r.u32()?;
-        sys.faults.link_failed = if r.bool()? { Some(r.u32()?) } else { None };
-        sys.faults.dir_glitch = r.u32()?;
-        sys.faults.hitme_glitch = r.u32()?;
-        let n = r.seq(8, "poisoned lines")?;
-        sys.faults.poisoned = Vec::with_capacity(n);
-        for _ in 0..n {
-            sys.faults.poisoned.push(LineAddr(r.u64()?));
-        }
 
         sys.monitor = if r.bool()? {
             Some(MonitorConfig {
@@ -680,13 +652,6 @@ impl System {
         stats.remote_cache_fwd = r.u64()?;
         stats.dram_writebacks = r.u64()?;
         sys.stats = stats;
-
-        sys.recovery.crc_messages = r.u64()?;
-        sys.recovery.crc_retries = r.u64()?;
-        sys.recovery.link_failures = r.u64()?;
-        sys.recovery.dir_retries = r.u64()?;
-        sys.recovery.hitme_retries = r.u64()?;
-        sys.recovery.poison_blocked = r.u64()?;
 
         for b in sys.fanout_bins.iter_mut() {
             *b = r.u64()?;
@@ -778,16 +743,16 @@ mod tests {
     }
 
     #[test]
-    fn faults_monitor_and_recovery_survive_round_trip() {
+    fn faults_and_monitor_survive_round_trip() {
         let (mut sys, _) = warmed(CoherenceMode::ClusterOnDie);
         sys.enable_monitor(MonitorConfig::strict());
-        sys.inject_qpi_crc(3);
-        sys.inject_dir_glitch(2);
-        sys.inject_hitme_glitch(1);
-        sys.inject_poison(LineAddr(42));
+        sys.inject_snoop_drop(3);
+        sys.inject_snoop_delay(250.0, 2);
         let frame = sys.snapshot();
         let twin = System::restore(&frame).expect("restore");
-        assert!(twin.is_poisoned(LineAddr(42)));
+        assert_eq!(twin.faults.drop_snoops, 3);
+        assert_eq!((twin.faults.delay_snoops, twin.faults.delay_ns), (2, 250.0));
+        assert_eq!(twin.monitor, Some(MonitorConfig::strict()));
         assert_eq!(twin.snapshot(), frame);
     }
 
@@ -798,7 +763,6 @@ mod tests {
         assert_eq!(twin.stats.reads_by_source, sys.stats.reads_by_source);
         assert_eq!(twin.stats.rfos, sys.stats.rfos);
         assert_eq!(twin.stats.snoops_sent, sys.stats.snoops_sent);
-        assert_eq!(twin.recovery, sys.recovery);
     }
 
     #[test]
@@ -817,14 +781,15 @@ mod tests {
     }
 
     #[test]
-    fn schema_3_frames_are_rejected_by_version() {
-        // v3 frames carry two recovery counters this layout no longer
-        // reads: restore must refuse them up front, not misparse them.
-        let mut w = SnapWriter::new(3);
+    fn schema_4_frames_are_rejected_by_version() {
+        // v4 frames carry recovery fault fields and counters this layout
+        // no longer reads: restore must refuse them up front, not
+        // misparse them.
+        let mut w = SnapWriter::new(4);
         w.u64(0);
         let err = System::restore(&w.finish()).err();
         assert!(
-            matches!(err, Some(SnapshotError::UnsupportedSchema { found: 3, expected: 4 })),
+            matches!(err, Some(SnapshotError::UnsupportedSchema { found: 4, expected: 5 })),
             "{err:?}"
         );
     }

@@ -16,7 +16,7 @@
 use crate::calib::Calib;
 use crate::config::{ConfigError, SystemConfig};
 use crate::error::SimError;
-use crate::inject::{FaultState, RecoveryStats};
+use crate::inject::FaultState;
 use crate::monitor::{self, MonitorConfig, Violation};
 use hswx_coherence::{
     ca_local_action, dir_after_read, dir_after_rfo, fill_state_after_read, ha_read_arrival_plan,
@@ -155,17 +155,6 @@ pub enum ProtoStep {
     },
     /// Data supplied from the home node's memory.
     MemoryReply,
-    /// The QPI link layer replayed a message from its retry buffer after
-    /// CRC errors; each retry paid one extra serialization delay.
-    LinkRetry {
-        /// Retransmissions the message needed.
-        retries: u32,
-    },
-    /// A transient in-memory-directory read glitch was healed by an ECC
-    /// re-read (one extra memory-controller traversal).
-    DirectoryRetry,
-    /// A transient HitME SRAM read glitch was healed by re-lookup.
-    HitMeRetry,
 }
 
 /// Outcome of probing a single peer node during a node-level transaction.
@@ -272,9 +261,6 @@ pub struct System {
 
     /// Event counters.
     pub stats: Stats,
-    /// Transparently recovered faults (kept outside [`Stats`] so clean
-    /// and recovered runs compare bit-identical; see [`RecoveryStats`]).
-    pub recovery: RecoveryStats,
 }
 
 impl System {
@@ -384,7 +370,6 @@ impl System {
             batch_scratch: crate::batch::BatchScratch::default(),
             fanout_bins: [0; 9],
             stats: Stats::default(),
-            recovery: RecoveryStats::default(),
             cfg,
         })
     }
@@ -575,13 +560,8 @@ impl System {
     #[allow(unused_variables)]
     fn tap_walk_abort<const TRACED: bool>(&mut self, err: &SimError, t: SimTime) {
         #[cfg(feature = "trace")]
-        if TRACED && self.sampler.is_some() {
-            let name = match err {
-                SimError::Cancelled { .. } => "cancel.aborts",
-                SimError::Poisoned { .. } => "cancel.poison_blocked",
-                _ => return,
-            };
-            self.tap_cold(name, t, 1);
+        if TRACED && self.sampler.is_some() && matches!(err, SimError::Cancelled { .. }) {
+            self.tap_cold("cancel.aborts", t, 1);
         }
     }
 
@@ -856,12 +836,6 @@ impl System {
         reg.add("dram.bytes", dram[5]);
         reg.add("dram.writebacks", self.stats.dram_writebacks);
         reg.add("qpi.bytes", self.qpi.iter().map(|q| q.total_bytes()).sum());
-        reg.add("recovery.crc_messages", self.recovery.crc_messages);
-        reg.add("recovery.crc_retries", self.recovery.crc_retries);
-        reg.add("recovery.link_failures", self.recovery.link_failures);
-        reg.add("recovery.dir_retries", self.recovery.dir_retries);
-        reg.add("recovery.hitme_retries", self.recovery.hitme_retries);
-        reg.add("recovery.poison_blocked", self.recovery.poison_blocked);
     }
 
     // ------------------------------------------------------------------
@@ -870,13 +844,6 @@ impl System {
 
     /// Deliver a `bytes`-sized message, reserving QPI when the path crosses
     /// sockets. Returns the arrival time.
-    ///
-    /// Socket crossings run the QPI link layer: armed CRC corruptions
-    /// (see [`crate::inject`]) are replayed from the retry buffer, each
-    /// retransmission paying one calibrated QPI hop. Recovery is purely
-    /// latency — protocol state and statistics never see it. A burst that
-    /// exhausts the retry bound marks the walk's link as failed; the walk
-    /// converts that to [`SimError::QpiLinkFailure`] when it closes.
     fn send<const TRACED: bool>(
         &mut self,
         t: SimTime,
@@ -892,33 +859,12 @@ impl System {
             let sb = self.socket_of_endpoint(to);
             let idx = sa.0 as usize * self.cfg.sockets as usize + sb.0 as usize;
             let serialized = self.qpi[idx].transfer(t, bytes);
-            let mut at = serialized + transit;
-            let hop_done = at;
-            if self.faults.qpi_crc > 0 {
-                let (outcome, consumed) = self.faults.link_retry.resolve(self.faults.qpi_crc);
-                self.faults.qpi_crc -= consumed;
-                let retries = outcome.retries();
-                if retries > 0 {
-                    self.recovery.crc_messages += 1;
-                    self.recovery.crc_retries += retries as u64;
-                    at += self.ns(retries as f64 * self.cal.t_qpi);
-                    self.log(at, ProtoStep::LinkRetry { retries });
-                }
-                if !outcome.delivered() {
-                    self.recovery.link_failures += 1;
-                    self.faults.link_failed = Some(retries);
-                }
-            }
-            self.span_leaf_with::<TRACED, _>("qpi_hop", "qpi", t, hop_done, || {
+            let at = serialized + transit;
+            self.span_leaf_with::<TRACED, _>("qpi_hop", "qpi", t, at, || {
                 format!("{from:?}\u{2192}{to:?} {bytes}B")
             });
             self.tap::<TRACED>("qpi.bytes", t, bytes);
-            self.tap_span::<TRACED>("qpi.busy_ps", t, hop_done);
-            if at > hop_done {
-                self.span_leaf::<TRACED>("qpi_crc_replay", "qpi", hop_done, at);
-                self.tap::<TRACED>("qpi.crc_replays", hop_done, 1);
-                self.tap_span::<TRACED>("qpi.replay_busy_ps", hop_done, at);
-            }
+            self.tap_span::<TRACED>("qpi.busy_ps", t, at);
             at
         } else {
             let at = t + transit;
@@ -960,19 +906,20 @@ impl System {
     }
 
     /// Gate a walk before it mutates anything: a cancelled supervisor
-    /// token or a poisoned target line aborts with a typed error while
-    /// every cache, directory, and statistic is still exactly as it was.
+    /// token aborts with a typed error while every cache, directory, and
+    /// statistic is still exactly as it was.
     ///
-    /// The common case — no supervisor token, nothing poisoned — must
-    /// cost one predictable branch per walk: the kernels in
-    /// `hswx-bench::perf` issue tens of millions of walks per second, so
-    /// everything else lives in the outlined `#[cold]` slow path.
+    /// The common case — no supervisor token — must cost one predictable
+    /// branch per walk: the kernels in `hswx-bench::perf` issue tens of
+    /// millions of walks per second, so everything else lives in the
+    /// outlined `#[cold]` slow path.
     #[inline(always)]
     fn walk_gate(&mut self, core: CoreId, line: LineAddr) -> Option<SimError> {
-        if self.cancel.is_none() && self.faults.poisoned.is_empty() {
-            return None;
+        if self.cancel.is_some() {
+            self.walk_gate_slow(core, line)
+        } else {
+            None
         }
-        self.walk_gate_slow(core, line)
     }
 
     #[cold]
@@ -980,10 +927,6 @@ impl System {
     fn walk_gate_slow(&mut self, core: CoreId, line: LineAddr) -> Option<SimError> {
         if self.cancel_requested() {
             return Some(SimError::Cancelled { core, line, transcript: self.error_transcript() });
-        }
-        if self.faults.poisoned.contains(&line) {
-            self.recovery.poison_blocked += 1;
-            return Some(SimError::Poisoned { core, line, transcript: self.error_transcript() });
         }
         None
     }
@@ -996,15 +939,6 @@ impl System {
         let hit = tok.should_abort(&mut self.cancel_polls);
         self.cancel = Some(tok);
         hit
-    }
-
-    /// Build the machine-check error for a walk whose QPI link exhausted
-    /// its retry buffer. Outlined so `end_walk`'s inline body stays a
-    /// single `Option` test in the overwhelmingly common clean case.
-    #[cold]
-    #[inline(never)]
-    fn link_failure_error(&mut self, core: CoreId, line: LineAddr, retries: u32) -> SimError {
-        SimError::QpiLinkFailure { core, line, retries, transcript: self.error_transcript() }
     }
 
     /// Collect the transcript for an error: consume a monitor-armed trace,
@@ -1047,7 +981,6 @@ impl System {
         issued: SimTime,
         res: Result<AccessOutcome, SimError>,
     ) -> Result<AccessOutcome, SimError> {
-        let link_failed = self.faults.link_failed.take();
         let out = match res {
             Ok(out) => out,
             Err(e) => {
@@ -1055,12 +988,6 @@ impl System {
                 return Err(e);
             }
         };
-        // A message of this walk exhausted the link retry buffer: the
-        // walk's result is untrustworthy (real hardware machine-checks).
-        // The walk does not count as a completed transaction.
-        if let Some(retries) = link_failed {
-            return Err(self.link_failure_error(core, line, retries));
-        }
         self.txn_count += 1;
         if self.metrics.is_some() {
             let fan = (self.stats.snoops_sent - self.walk_snoop_base).min(8) as usize;
@@ -1679,23 +1606,11 @@ impl System {
         };
         let pool = &mut self.trackers[ha.0 as usize][remote_req as usize];
         let t_admitted = pool.wait_for_slot(req_at_ha);
-        let mut t_arrival = t_admitted + self.ns(self.cal.t_ha);
+        let t_arrival = t_admitted + self.ns(self.cal.t_ha);
         self.span_leaf::<TRACED>("tracker_wait", "coherence", req_at_ha, t_admitted);
         self.span_leaf::<TRACED>("ha_pipeline", "coherence", t_admitted, t_arrival);
         self.tap_span::<TRACED>("ha.tracker_wait_ps", req_at_ha, t_admitted);
         self.tap_span::<TRACED>("ha.pipeline_busy_ps", t_admitted, t_arrival);
-
-        // Transient HitME SRAM read glitch (injected): the HA re-reads
-        // the directory cache, stalling its pipeline one access latency.
-        // Pure timing — the lookup below sees the same entry either way.
-        if self.proto.hitme && self.faults.take_hitme_glitch() {
-            self.recovery.hitme_retries += 1;
-            let before = t_arrival;
-            t_arrival += self.ns(self.cal.t_hitme);
-            self.span_leaf::<TRACED>("hitme_reread", "coherence", before, t_arrival);
-            self.tap::<TRACED>("recovery.hitme_rereads", before, 1);
-            self.log(t_arrival, ProtoStep::HitMeRetry);
-        }
 
         // HitME lookup (COD).
         let hitme_hit = if self.proto.hitme {
@@ -1725,7 +1640,7 @@ impl System {
             format!("{row_outcome:?} ch{channel}")
         });
         self.tap_span::<TRACED>("dram.busy_ps", t_arrival, dev_done);
-        let mut dram_done = dev_done + self.ns(self.cal.t_mem_ctl);
+        let dram_done = dev_done + self.ns(self.cal.t_mem_ctl);
         self.span_leaf::<TRACED>("mem_ctl", "mem", dev_done, dram_done);
 
         // Home-snoop-mode probes issued by the HA.
@@ -1758,18 +1673,6 @@ impl System {
             dir_prev = self.dir[ha.0 as usize].get(line);
         }
         if plan.need_dir {
-            // Transient directory read glitch (injected): the ECC bits
-            // came back garbled once and the controller re-reads them,
-            // delaying the data+directory result one controller
-            // traversal. The state consumed below is the healed read.
-            if self.faults.take_dir_glitch() {
-                self.recovery.dir_retries += 1;
-                let before = dram_done;
-                dram_done += self.ns(self.cal.t_mem_ctl);
-                self.span_leaf::<TRACED>("dir_ecc_reread", "mem", before, dram_done);
-                self.tap::<TRACED>("recovery.dir_rereads", before, 1);
-                self.log(dram_done, ProtoStep::DirectoryRetry);
-            }
             self.log(dram_done, ProtoStep::DirectoryRead { state: dir_prev });
             self.span_leaf_with::<TRACED, _>("dir_read", "coherence", dram_done, dram_done, || {
                 format!("{dir_prev:?}")
@@ -2428,11 +2331,9 @@ impl System {
     ///
     /// Entries are sorted before hashing so the digest is independent of
     /// hash-map iteration order, making it comparable across runs and
-    /// platforms. The fault campaign uses it to prove transparently
-    /// recovered runs (CRC retransmits, directory/HitME glitches) leave
-    /// the machine bit-identical to a clean run, and the campaign journal
-    /// uses it to detect divergence on resume. Timing, statistics, and
-    /// recovery counters are deliberately excluded.
+    /// platforms. Tests use it to prove that a restored snapshot matches
+    /// the original and that a refused walk changed nothing. Timing and
+    /// statistics are deliberately excluded.
     pub fn state_digest(&self) -> u64 {
         fn mix(h: u64, section: u64, entries: &mut Vec<(u64, u64)>) -> u64 {
             entries.sort_unstable();

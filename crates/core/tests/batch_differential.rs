@@ -5,15 +5,16 @@
 //! `System::run_batch_seq` (plain dispatch loop, the differential
 //! reference) must produce identical replies, `Stats`, protocol
 //! transcripts, and `state_digest` — including batches containing
-//! faulted/recoverable walks, with the monitor on, and across a mid-batch
+//! faulted walks, with the monitor on, and across a mid-batch
 //! snapshot/restore (the batch scratch is host-side only and must never
 //! leak into a frame).
 
+use hswx_coherence::MesifState;
 use hswx_engine::{SimDuration, SimTime};
 use hswx_haswell::{
     Access, AccessOp, BatchOutcome, CoherenceMode, Issue, MonitorConfig, System, SystemConfig,
 };
-use hswx_mem::{CoreId, LineAddr};
+use hswx_mem::{CoreId, LineAddr, NodeId};
 use proptest::prelude::*;
 
 fn config_strategy() -> impl Strategy<Value = SystemConfig> {
@@ -86,8 +87,51 @@ fn assert_twin_equal(
     // `Stats` holds deterministic-hash maps filled in identical order, so
     // the Debug rendering is a faithful deep comparison.
     assert_eq!(format!("{:?}", sys.stats), format!("{:?}", twin.stats));
-    assert_eq!(sys.recovery.clone(), twin.recovery.clone());
     assert_eq!(sys.snapshot(), twin.snapshot());
+}
+
+/// A batch whose snooping reads must fail: a far-node core holds two
+/// lines Modified, snoop delays far past the strict watchdog budget are
+/// armed, and a home-node core reads both lines, each after a private-cache
+/// hit. An error reply must not move the `AfterPrev` chain, so `done` is
+/// the completion time of the last successful reply, not of the failed
+/// read that ends the batch.
+#[test]
+fn delayed_snoop_batch_reports_errors_and_keeps_the_chain() {
+    let cfg = SystemConfig::e5_2680_v3(CoherenceMode::SourceSnoop);
+    let mut sys = System::new(cfg.clone());
+    let mut twin = System::new(cfg);
+    let home = NodeId(0);
+    let base = sys.topo.numa_base(home).line();
+    let (dirty, dirty2, warm, warm2) =
+        (base, LineAddr(base.0 + 1), LineAddr(base.0 + 2), LineAddr(base.0 + 3));
+    let core_home = sys.topo.cores_of_node(home)[0];
+    let far_node = NodeId(sys.topo.n_nodes() - 1);
+    let core_far = sys.topo.cores_of_node(far_node)[0];
+    let mut t = SimTime::ZERO;
+    for s in [&mut sys, &mut twin] {
+        t = s.write(core_far, dirty, SimTime::ZERO).done;
+        t = s.write(core_far, dirty2, t).done;
+        t = s.read(core_home, warm, t).done;
+        t = s.read(core_home, warm2, t).done;
+        for l in [dirty, dirty2] {
+            assert_eq!(s.l3_meta(far_node, l).map(|m| m.state), Some(MesifState::Modified));
+        }
+        s.enable_monitor(MonitorConfig::strict());
+        s.inject_snoop_delay(1_000_000.0, 16);
+    }
+    let batch = [
+        Access::read(core_home, warm).at(t),
+        Access::read(core_home, dirty),
+        Access::read(core_home, warm2),
+        Access::read(core_home, dirty2),
+    ];
+    let out_batch = sys.run_batch(&batch);
+    let out_seq = twin.run_batch_seq(&batch);
+    let oks: Vec<bool> = out_batch.replies.iter().map(Result::is_ok).collect();
+    assert_eq!(oks, [true, false, true, false], "{out_batch:?}");
+    assert_eq!(out_batch.done, out_batch.replies[2].as_ref().unwrap().done());
+    assert_twin_equal(&mut sys, &mut twin, &out_batch, &out_seq);
 }
 
 proptest! {
@@ -121,26 +165,23 @@ proptest! {
         assert_twin_equal(&mut sys, &mut twin, &out_batch, &out_seq);
     }
 
-    /// Batches containing faulted and recoverable walks: injected QPI CRC
-    /// errors, directory glitches, and HitME glitches must surface the same
-    /// `SimError`s in the same reply slots, and recovered walks must leave
-    /// both machines in the same state.
+    /// Batches containing faulted walks: dropped and delayed snoops under
+    /// the strict monitor must surface the same `SimError`s in the same
+    /// reply slots and leave both machines in the same state.
     #[test]
     fn faulted_batches_match_sequential_dispatch(
         cfg in config_strategy(),
         ops in raw_ops(80),
-        crc in 0u32..6,
-        dir_glitches in 0u32..4,
-        hitme_glitches in 0u32..4,
+        drops in 0u32..4,
+        delays in 0u32..4,
     ) {
         let mut sys = System::new(cfg.clone());
         let mut twin = System::new(cfg);
-        sys.inject_qpi_crc(crc);
-        sys.inject_dir_glitch(dir_glitches);
-        sys.inject_hitme_glitch(hitme_glitches);
-        twin.inject_qpi_crc(crc);
-        twin.inject_dir_glitch(dir_glitches);
-        twin.inject_hitme_glitch(hitme_glitches);
+        for s in [&mut sys, &mut twin] {
+            s.enable_monitor(MonitorConfig::strict());
+            s.inject_snoop_drop(drops);
+            s.inject_snoop_delay(1_000_000.0, delays);
+        }
 
         let batch = build_batch(&ops, sys.cfg.n_cores());
         let out_batch = sys.run_batch(&batch);

@@ -1,9 +1,11 @@
-//! Cancellation edge cases at the snapshot boundary.
+//! Cancellation, including its edge cases at the snapshot boundary.
 //!
 //! A supervisor's watchdog can fire at any instant — including while a
 //! campaign is mid-walk with a snapshot file half-written. These tests
-//! pin the two guarantees the soak harness leans on:
+//! pin the guarantees the campaign supervisor leans on:
 //!
+//! * a system built under an ambient [`CancelToken`] aborts its walks
+//!   once the token fires, and one built without a token never does;
 //! * a cancelled walk refuses with the typed [`SimError::Cancelled`]
 //!   *before touching any state* (digest and re-encoded frame unchanged);
 //! * snapshot files are **whole-or-absent**: because [`System::save_snapshot`]
@@ -23,6 +25,10 @@ fn tmp(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("hswx-cancel-snap-{tag}-{}", std::process::id()))
 }
 
+fn cod_system() -> System {
+    System::new(SystemConfig::e5_2680_v3(CoherenceMode::ClusterOnDie))
+}
+
 /// Build a system that captured `token` as its ambient cancellation
 /// handle, with a few warmup walks run before the token is installed.
 fn warmed_with_token(token: CancelToken) -> (System, SimTime) {
@@ -38,6 +44,29 @@ fn warmed_with_token(token: CancelToken) -> (System, SimTime) {
     let _guard = CancelToken::set_ambient(token);
     let sys = System::restore(&frame).expect("clean snapshot restores");
     (sys, t)
+}
+
+#[test]
+fn ambient_cancellation_aborts_walks() {
+    let token = CancelToken::new();
+    let _guard = CancelToken::set_ambient(token.clone());
+    let mut sys = cod_system();
+    assert!(sys.try_read(CoreId(0), LineAddr(1), SimTime::ZERO).is_ok());
+    token.cancel();
+    let err = sys.try_read(CoreId(0), LineAddr(2), SimTime::from_ns(500.0)).unwrap_err();
+    assert!(matches!(err, SimError::Cancelled { .. }));
+    let err = sys.try_write(CoreId(0), LineAddr(3), SimTime::from_ns(900.0)).unwrap_err();
+    assert!(matches!(err, SimError::Cancelled { .. }));
+}
+
+#[test]
+fn systems_without_ambient_token_never_cancel() {
+    let mut sys = cod_system();
+    for i in 0..64 {
+        assert!(sys
+            .try_read(CoreId(0), LineAddr(100 + i), SimTime::from_ns(i as f64 * 300.0))
+            .is_ok());
+    }
 }
 
 #[test]

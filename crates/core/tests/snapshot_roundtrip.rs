@@ -4,10 +4,10 @@
 //! After restoring a mid-run snapshot, the twin must report the same
 //! `state_digest()`, re-encode to the byte-identical frame, and produce
 //! outcome-for-outcome identical continuations of any access sequence,
-//! including under recoverable fault injection.
+//! including with snoop faults armed but not yet consumed.
 
 use hswx_engine::SimTime;
-use hswx_haswell::{CoherenceMode, System, SystemConfig};
+use hswx_haswell::{Access, CoherenceMode, System, SystemConfig};
 use hswx_mem::{CoreId, LineAddr};
 use proptest::prelude::*;
 
@@ -52,6 +52,34 @@ fn run(sys: &mut System, t: SimTime, ops: &[(u16, u64, bool)]) -> SimTime {
     t
 }
 
+fn cod_system() -> System {
+    System::new(SystemConfig::e5_2680_v3(CoherenceMode::ClusterOnDie))
+}
+
+fn run_reads(sys: &mut System, line: LineAddr, n: u64) -> (SimTime, Vec<String>) {
+    let mut t = SimTime::ZERO;
+    let mut sources = Vec::new();
+    for i in 0..n {
+        let out = sys.read(CoreId(0), LineAddr(line.0 + i), t);
+        sources.push(format!("{:?}", out.source));
+        sys.flush(CoreId(0), LineAddr(line.0 + i), out.done);
+        t = out.done + hswx_engine::SimDuration::from_ns(400.0);
+    }
+    (t, sources)
+}
+
+#[test]
+fn state_digest_is_stable_and_sensitive() {
+    let mut a = cod_system();
+    let mut b = cod_system();
+    assert_eq!(a.state_digest(), b.state_digest(), "empty systems agree");
+    let (_, _) = run_reads(&mut a, LineAddr(42), 3);
+    let (_, _) = run_reads(&mut b, LineAddr(42), 3);
+    assert_eq!(a.state_digest(), b.state_digest(), "identical runs agree");
+    b.read(CoreId(0), LineAddr(999), SimTime::from_ns(1e6));
+    assert_ne!(a.state_digest(), b.state_digest(), "extra state changes digest");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -90,31 +118,39 @@ proptest! {
         prop_assert_eq!(twin.snapshot(), sys.snapshot());
     }
 
-    /// Pending recoverable faults are part of the state: a snapshot taken
-    /// with injected-but-unconsumed faults replays them identically.
+    /// Pending snoop faults are part of the state: a snapshot taken with
+    /// injected-but-unconsumed drops and delays replays them identically.
     #[test]
     fn pending_faults_replay_identically(
         prefix in proptest::collection::vec(
             (any::<u16>(), any::<u64>(), any::<bool>()), 0..60),
         suffix in proptest::collection::vec(
             (any::<u16>(), any::<u64>(), any::<bool>()), 1..60),
-        crc in 0u32..4,
-        glitches in 0u32..3,
+        drops in 0u32..4,
+        delays in 0u32..3,
     ) {
         let cfg = SystemConfig::e5_8core(CoherenceMode::ClusterOnDie);
         let mut sys = System::new(cfg);
         let t = run(&mut sys, SimTime::ZERO, &prefix);
-        sys.inject_qpi_crc(crc);
-        sys.inject_dir_glitch(glitches);
-        sys.inject_hitme_glitch(glitches);
+        sys.inject_snoop_drop(drops);
+        sys.inject_snoop_delay(300.0, delays);
 
         let frame = sys.snapshot();
         let mut twin = System::restore(&frame).expect("restore");
-        let ta = run(&mut sys, t, &suffix);
-        let tb = run(&mut twin, t, &suffix);
-        prop_assert_eq!(ta, tb);
+        // A dropped snoop can leave state a later walk rejects, so replay
+        // through the batch path, which reports errors per access.
+        let cores = sys.cfg.n_cores();
+        let batch: Vec<Access> = suffix
+            .iter()
+            .enumerate()
+            .map(|(i, &(c, l, w))| {
+                let (core, line) = (CoreId(c % cores), LineAddr(l % 2048));
+                let a = if w { Access::write(core, line) } else { Access::read(core, line) };
+                if i == 0 { a.at(t) } else { a }
+            })
+            .collect();
+        prop_assert_eq!(sys.run_batch_seq(&batch), twin.run_batch_seq(&batch));
         prop_assert_eq!(twin.state_digest(), sys.state_digest());
-        prop_assert_eq!(sys.recovery, twin.recovery);
         prop_assert_eq!(twin.snapshot(), sys.snapshot());
     }
 }

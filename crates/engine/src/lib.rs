@@ -35,7 +35,6 @@
 
 pub mod cancel;
 pub mod fsio;
-pub mod heartbeat;
 pub mod fxhash;
 pub mod metrics;
 pub mod resource;
@@ -48,7 +47,6 @@ pub mod trace;
 
 pub use cancel::CancelToken;
 pub use fsio::{atomic_write, fnv1a64, fnv1a64_extend};
-pub use heartbeat::Heartbeat;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use metrics::MetricsRegistry;
 pub use resource::{ThroughputResource, TimedPool};

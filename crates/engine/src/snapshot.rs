@@ -1,9 +1,8 @@
 //! Versioned, digest-framed binary snapshot codec.
 //!
 //! Snapshots let a simulator be paused, persisted, and resumed
-//! bit-identically — the substrate for mid-job checkpointing and chaos
-//! soak round-trips. The vendored `serde` is
-//! an API stub, so the codec is hand-rolled: a [`SnapWriter`] appends
+//! bit-identically — the substrate for mid-job checkpointing. The
+//! vendored `serde` is an API stub, so the codec is hand-rolled: a [`SnapWriter`] appends
 //! little-endian primitives to a framed buffer and a [`SnapReader`]
 //! consumes them in the same order. The frame is self-describing enough
 //! to be rejected loudly rather than misread:
@@ -25,8 +24,8 @@
 //!
 //! Files are written through [`atomic_write`](crate::fsio::atomic_write)
 //! (tmp + rename), so an on-disk snapshot is whole-or-absent even when
-//! the writer is killed mid-write — the chaos soak harness races
-//! cancellation against snapshot writes to prove exactly that.
+//! the writer is killed mid-write — the cancellation tests race snapshot
+//! writes against reloads to prove exactly that.
 //!
 //! Determinism contract: encoders must serialize unordered containers
 //! (hash maps, binary heaps) in a sorted order, the same discipline the
@@ -47,8 +46,8 @@ pub const FRAME_OVERHEAD: usize = 8 + 4 + 8 + 8;
 
 /// Why a snapshot could not be produced or decoded.
 ///
-/// Every variant names what was being read and what was found, so a soak
-/// report (or a user at a terminal) sees a cause, not a panic.
+/// Every variant names what was being read and what was found, so a
+/// caller (or a user at a terminal) sees a cause, not a panic.
 #[derive(Debug)]
 pub enum SnapshotError {
     /// Filesystem failure reading or writing a snapshot file.

@@ -11,7 +11,7 @@
 //! merging is plain addition, the final series is a pure function of the
 //! *multiset* of samples: insertion order, thread interleaving, and
 //! where a run was snapshotted and resumed all cancel out. That property
-//! is what lets the soak and resume tests demand byte-identical exports.
+//! is what lets the resume tests demand byte-identical exports.
 //!
 //! A [`TelemetryHub`] aggregates samplers from many short-lived systems
 //! (a campaign sweep constructs thousands): it propagates *ambiently*

@@ -1,35 +1,22 @@
-//! Seeded fault-injection campaigns with detection *and recovery*
-//! coverage reporting.
+//! Seeded fault-injection campaigns with detection coverage reporting.
 //!
 //! For every (coherence mode × fault class) cell the campaign builds a
 //! fresh dual-socket system, runs a deterministic warmup that creates the
 //! protocol state the fault needs (cross-node sharing, migratory dirty
 //! lines, live HitME entries), injects the fault through the
-//! [`hswx_haswell::inject`] hooks, then verifies the expected response
-//! for the class's [`FaultKind`]:
-//!
-//! * **Detect** — follow-up accesses replay under a strict
-//!   [`MonitorConfig`] and the runtime monitor must convert the
-//!   corruption into a typed [`hswx_haswell::SimError`].
-//! * **Recover** — the trial runs *twice* from the same seed, once clean
-//!   and once with the transient armed; the faulted run must complete
-//!   with identical data sources, statistics, and
-//!   [`hswx_haswell::System::state_digest`] (recovery is timing-only),
-//!   and its recovery counters must prove the fault actually fired.
-//! * **Contain** — the fault must surface as exactly the documented typed
-//!   error, after which the rest of the simulation keeps working and (for
-//!   poisoning) protocol state is bit-identical to before the access.
+//! [`hswx_haswell::inject`] hooks, then replays follow-up accesses under a
+//! strict [`MonitorConfig`]: the runtime monitor must convert the
+//! corruption into a typed [`hswx_haswell::SimError`].
 //!
 //! Every choice derives from the plan seed, so a failing cell reproduces
 //! with the same plan text.
 
-use crate::plan::{FaultClass, FaultKind, FaultPlan};
+use crate::plan::{FaultClass, FaultPlan};
 use hswx_coherence::{DirState, MesifState, NodeSet};
-use hswx_engine::{DetRng, MetricsRegistry, SimTime};
-use hswx_haswell::{CoherenceMode, MonitorConfig, RecoveryStats, SimError, System, SystemConfig};
+use hswx_engine::{DetRng, SimTime};
+use hswx_haswell::{CoherenceMode, MonitorConfig, System, SystemConfig};
 use hswx_mem::{CoreId, LineAddr, NodeId};
 use std::fmt;
-use std::sync::Arc;
 
 /// Result of one campaign matrix cell.
 #[derive(Debug, Clone, PartialEq)]
@@ -67,10 +54,6 @@ pub struct CampaignReport {
     pub trials: u32,
     /// All matrix cells, class-major in [`FaultClass::ALL`] order.
     pub cells: Vec<MatrixCell>,
-    /// Recovery-event totals across every trial system (clean and
-    /// faulted), collected through the metrics registry the campaign
-    /// installs around its trials.
-    pub recovery: RecoveryStats,
 }
 
 impl CampaignReport {
@@ -92,26 +75,21 @@ impl CampaignReport {
 }
 
 impl CampaignReport {
-    /// Distinct classes of this report, in first-seen order, filtered by
-    /// whether they match `kinds`.
-    fn classes_of(&self, kinds: &[FaultKind]) -> Vec<FaultClass> {
-        let mut v = Vec::new();
+    /// The class × mode matrix, classes in first-seen order.
+    fn write_matrix(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut classes = Vec::new();
         for cell in &self.cells {
-            if kinds.contains(&cell.class.kind()) && !v.contains(&cell.class) {
-                v.push(cell.class);
+            if !classes.contains(&cell.class) {
+                classes.push(cell.class);
             }
         }
-        v
-    }
-
-    fn write_matrix(&self, f: &mut fmt::Formatter<'_>, classes: &[FaultClass]) -> fmt::Result {
         let modes = CoherenceMode::all();
         write!(f, "{:<22}", "fault class")?;
         for mode in modes {
             write!(f, "{:>14}", mode.label())?;
         }
         writeln!(f)?;
-        for &class in classes {
+        for class in classes {
             write!(f, "{:<22}", class.name())?;
             for mode in modes {
                 let cell = self.cells.iter().find(|c| c.class == class && c.mode == mode);
@@ -151,18 +129,6 @@ impl CampaignReport {
         out.push_str(&format!("  \"seed\": {},\n", self.seed));
         out.push_str(&format!("  \"trials\": {},\n", self.trials));
         out.push_str(&format!("  \"all_passed\": {},\n", self.all_detected()));
-        let r = &self.recovery;
-        out.push_str(&format!(
-            "  \"recovery\": {{\"crc_messages\": {}, \"crc_retries\": {}, \
-             \"link_failures\": {}, \"dir_retries\": {}, \"hitme_retries\": {}, \
-             \"poison_blocked\": {}}},\n",
-            r.crc_messages,
-            r.crc_retries,
-            r.link_failures,
-            r.dir_retries,
-            r.hitme_retries,
-            r.poison_blocked
-        ));
         out.push_str("  \"cells\": [\n");
         for (i, cell) in self.cells.iter().enumerate() {
             let outcome = match &cell.outcome {
@@ -176,10 +142,9 @@ impl CampaignReport {
                 }
             };
             out.push_str(&format!(
-                "    {{\"mode\": \"{}\", \"class\": \"{}\", \"kind\": \"{}\", {}}}{}\n",
+                "    {{\"mode\": \"{}\", \"class\": \"{}\", {}}}{}\n",
                 cell.mode.label(),
                 cell.class.name(),
-                cell.class.kind().name(),
                 outcome,
                 if i + 1 == self.cells.len() { "" } else { "," }
             ));
@@ -198,44 +163,17 @@ impl fmt::Display for CampaignReport {
             if self.trials == 1 { "" } else { "s" },
             self.seed
         )?;
-        let detect = self.classes_of(&[FaultKind::Detect]);
-        if !detect.is_empty() {
+        if !self.cells.is_empty() {
             writeln!(f)?;
             writeln!(f, "detection matrix (monitor must raise a typed error):")?;
-            self.write_matrix(f, &detect)?;
-        }
-        let heal = self.classes_of(&[FaultKind::Recover, FaultKind::Contain]);
-        if !heal.is_empty() {
-            writeln!(f)?;
-            writeln!(f, "recovery matrix (transients must heal transparently or be contained):")?;
-            self.write_matrix(f, &heal)?;
+            self.write_matrix(f)?;
         }
         writeln!(f)?;
-        let r = &self.recovery;
-        if r.total_events() > 0 {
-            writeln!(
-                f,
-                "recovery events across all trials: {} CRC retries over {} messages, \
-                 {} link failures, {} directory re-reads, {} HitME re-reads, \
-                 {} poisoned accesses blocked",
-                r.crc_retries,
-                r.crc_messages,
-                r.link_failures,
-                r.dir_retries,
-                r.hitme_retries,
-                r.poison_blocked
-            )?;
-        }
         if self.all_detected() {
-            writeln!(f, "all injected faults detected or recovered")?;
+            writeln!(f, "all injected faults detected")?;
         } else {
             for cell in self.missed_cells() {
-                let label = match cell.class.kind() {
-                    FaultKind::Detect => "DETECTION GAP",
-                    FaultKind::Recover => "RECOVERY GAP",
-                    FaultKind::Contain => "CONTAINMENT GAP",
-                };
-                writeln!(f, "{label}: {} in {} mode", cell.class.name(), cell.mode.label())?;
+                writeln!(f, "DETECTION GAP: {} in {} mode", cell.class.name(), cell.mode.label())?;
             }
         }
         Ok(())
@@ -243,15 +181,7 @@ impl fmt::Display for CampaignReport {
 }
 
 /// Run `plan` across all three coherence modes and collect the matrix.
-///
-/// Every trial system flushes its counters (including the recovery
-/// taxonomy) into a metrics registry scoped to this call; the aggregate
-/// lands in [`CampaignReport::recovery`] and, if an ambient registry was
-/// already installed (e.g. by a campaign supervisor job), the counters
-/// are forwarded into it as well.
 pub fn run_campaign(plan: &FaultPlan) -> CampaignReport {
-    let reg = Arc::new(MetricsRegistry::new());
-    let scope = MetricsRegistry::set_ambient(Arc::clone(&reg));
     let mut cells = Vec::new();
     for &class in &plan.classes {
         for mode in CoherenceMode::all() {
@@ -266,7 +196,7 @@ pub fn run_campaign(plan: &FaultPlan) -> CampaignReport {
             let mut missed = 0;
             let mut example = None;
             for trial in 0..plan.trials {
-                match run_trial(mode, class, plan.seed, trial) {
+                match detect_trial(mode, class, plan.seed, trial) {
                     Some(msg) => {
                         detected += 1;
                         example.get_or_insert(msg);
@@ -281,48 +211,18 @@ pub fn run_campaign(plan: &FaultPlan) -> CampaignReport {
             });
         }
     }
-    drop(scope);
-    let counters = reg.counters_snapshot();
-    let get = |name: &str| {
-        counters
-            .iter()
-            .find(|(n, _)| n == name)
-            .map_or(0, |&(_, v)| v)
-    };
-    let recovery = RecoveryStats {
-        crc_messages: get("recovery.crc_messages"),
-        crc_retries: get("recovery.crc_retries"),
-        link_failures: get("recovery.link_failures"),
-        dir_retries: get("recovery.dir_retries"),
-        hitme_retries: get("recovery.hitme_retries"),
-        poison_blocked: get("recovery.poison_blocked"),
-    };
-    if let Some(outer) = MetricsRegistry::ambient() {
-        for (name, v) in &counters {
-            outer.add(name, *v);
-        }
-    }
-    CampaignReport { seed: plan.seed, trials: plan.trials, cells, recovery }
-}
-
-/// One injection trial, routed by the class's verification strategy.
-/// Returns the pass message, or `None` when the expected response did not
-/// materialise (or the fault could not even be armed — an unarmable fault
-/// counts as a miss so campaign setups cannot silently rot).
-fn run_trial(mode: CoherenceMode, class: FaultClass, seed: u64, trial: u32) -> Option<String> {
-    match class.kind() {
-        FaultKind::Detect => detect_trial(mode, class, seed, trial),
-        FaultKind::Recover => recover_trial(mode, class, seed, trial),
-        FaultKind::Contain => contain_trial(mode, class, seed, trial),
-    }
+    CampaignReport { seed: plan.seed, trials: plan.trials, cells }
 }
 
 fn trial_salt(mode: CoherenceMode, class: FaultClass, trial: u32) -> u64 {
     ((class as u64) << 40) ^ ((mode as u64) << 32) ^ trial as u64
 }
 
-/// Detect trial: corrupt protocol state or messages, then replay accesses
-/// under the strict monitor, which must raise a typed error.
+/// One trial: corrupt protocol state or messages, then replay accesses
+/// under the strict monitor, which must raise a typed error. Returns the
+/// detection message, or `None` when the monitor stayed silent (or the
+/// fault could not even be armed — an unarmable fault counts as a miss so
+/// campaign setups cannot silently rot).
 fn detect_trial(mode: CoherenceMode, class: FaultClass, seed: u64, trial: u32) -> Option<String> {
     let mut sys = System::new(SystemConfig::e5_2680_v3(mode));
     let salt = trial_salt(mode, class, trial);
@@ -413,13 +313,6 @@ fn detect_trial(mode: CoherenceMode, class: FaultClass, seed: u64, trial: u32) -
             }
             dirty
         }
-        FaultClass::QpiCrc
-        | FaultClass::QpiCrcStorm
-        | FaultClass::DirGlitch
-        | FaultClass::HitMeGlitch
-        | FaultClass::PoisonLine => {
-            unreachable!("{} is routed to a recover/contain trial", class.name())
-        }
     };
     if !armed {
         return None;
@@ -440,127 +333,6 @@ fn detect_trial(mode: CoherenceMode, class: FaultClass, seed: u64, trial: u32) -
         }
     }
     None
-}
-
-/// Recover trial: run the identical access sequence twice from the same
-/// seed — once clean, once with the transient armed. Recovery must be
-/// timing-only: data sources, statistics, and the protocol state digest
-/// agree across the pair, and the faulted run's recovery counters must
-/// prove the transient actually fired.
-fn recover_trial(mode: CoherenceMode, class: FaultClass, seed: u64, trial: u32) -> Option<String> {
-    let mut rng = DetRng::new(seed).fork(trial_salt(mode, class, trial));
-    let errs = 1 + rng.below(4) as u32;
-    let offset = rng.below(1 << 14);
-
-    type RunResult = (Vec<String>, u64, String, hswx_haswell::RecoveryStats);
-    let run = |inject: bool| -> Result<RunResult, String> {
-        let mut sys = System::new(SystemConfig::e5_2680_v3(mode));
-        let home = NodeId(0);
-        let line = LineAddr(sys.topo.numa_base(home).line().0 + offset);
-        let core_home = sys.topo.cores_of_node(home)[0];
-        let far_node = NodeId(sys.topo.n_nodes() - 1);
-        let core_far = sys.topo.cores_of_node(far_node)[0];
-
-        // Warmup: the home socket dirties the line, so the far read below
-        // crosses QPI and (with a directory) consults it at the home agent.
-        let mut t = sys.write(core_home, line, SimTime::ZERO).done;
-        if inject {
-            match class {
-                FaultClass::QpiCrc => sys.inject_qpi_crc(errs),
-                FaultClass::DirGlitch => sys.inject_dir_glitch(errs),
-                FaultClass::HitMeGlitch => sys.inject_hitme_glitch(errs),
-                _ => unreachable!("{} is not a recoverable class", class.name()),
-            }
-        }
-        sys.enable_monitor(MonitorConfig::strict());
-        let mut sources = Vec::new();
-        for (core, l) in [(core_far, line), (core_home, line), (core_far, LineAddr(line.0 + 7))] {
-            let out = sys.try_read(core, l, t).map_err(|e| e.to_string())?;
-            sources.push(format!("{:?}", out.source));
-            t = out.done;
-        }
-        Ok((sources, sys.state_digest(), format!("{:?}", sys.stats), sys.recovery))
-    };
-
-    let clean = run(false).ok()?;
-    let faulty = run(true).ok()?;
-    if clean.0 != faulty.0 || clean.1 != faulty.1 || clean.2 != faulty.2 {
-        return None; // recovery perturbed the outcome — a recovery gap
-    }
-    if clean.3.total_events() != 0 {
-        return None; // the clean run must not count recovery events
-    }
-    let fired = match class {
-        FaultClass::QpiCrc => faulty.3.crc_retries,
-        FaultClass::DirGlitch => faulty.3.dir_retries,
-        FaultClass::HitMeGlitch => faulty.3.hitme_retries,
-        _ => unreachable!(),
-    };
-    if fired == 0 {
-        return None; // the transient never fired — the setup rotted
-    }
-    Some(format!(
-        "{} x{fired} healed transparently; digest {:#018x} matches clean run",
-        class.name(),
-        faulty.1
-    ))
-}
-
-/// Contain trial: the fault must surface as exactly the documented typed
-/// error, leave protocol state untouched, and not leak into later walks.
-fn contain_trial(mode: CoherenceMode, class: FaultClass, seed: u64, trial: u32) -> Option<String> {
-    let mut rng = DetRng::new(seed).fork(trial_salt(mode, class, trial));
-    let mut sys = System::new(SystemConfig::e5_2680_v3(mode));
-    let home = NodeId(0);
-    let line = LineAddr(sys.topo.numa_base(home).line().0 + rng.below(1 << 14));
-    let core_home = sys.topo.cores_of_node(home)[0];
-    let far_node = NodeId(sys.topo.n_nodes() - 1);
-    let core_far = sys.topo.cores_of_node(far_node)[0];
-
-    let t = sys.write(core_home, line, SimTime::ZERO).done;
-    sys.enable_monitor(MonitorConfig::strict());
-    match class {
-        FaultClass::QpiCrcStorm => {
-            // Arm exactly enough corruptions to overflow the retry buffer
-            // on the first QPI message and no more — leftovers would leak
-            // into the containment-check access below.
-            let max = sys.link_retry_policy().max_retries;
-            sys.inject_qpi_crc(max + 1);
-            let err = match sys.try_read(core_far, line, t) {
-                Err(e @ SimError::QpiLinkFailure { .. }) => e,
-                Err(_) | Ok(_) => return None,
-            };
-            if sys.recovery.link_failures != 1 {
-                return None;
-            }
-            // Containment: the failure was consumed with the walk; an
-            // unrelated access on a healthy link succeeds.
-            sys.try_read(core_home, LineAddr(line.0 + 9), t).ok()?;
-            Some(err.to_string())
-        }
-        FaultClass::PoisonLine => {
-            let digest_before = sys.state_digest();
-            sys.inject_poison(line);
-            let read_err = match sys.try_read(core_far, line, t) {
-                Err(e @ SimError::Poisoned { .. }) => e,
-                Err(_) | Ok(_) => return None,
-            };
-            if sys.try_write(core_home, line, t).is_ok() {
-                return None; // writes must be blocked too
-            }
-            if sys.state_digest() != digest_before {
-                return None; // the blocked walks mutated protocol state
-            }
-            // Neighbours are unaffected, and page retirement restores access.
-            sys.try_read(core_far, LineAddr(line.0 + 3), t).ok()?;
-            if !sys.clear_poison(line) {
-                return None;
-            }
-            sys.try_read(core_far, line, t).ok()?;
-            Some(read_err.to_string())
-        }
-        _ => unreachable!("{} is not a containment class", class.name()),
-    }
 }
 
 #[cfg(test)]

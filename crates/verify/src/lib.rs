@@ -8,8 +8,6 @@
 
 pub mod campaign;
 pub mod plan;
-pub mod soak;
 
 pub use campaign::{run_campaign, CampaignReport, CellOutcome, MatrixCell};
 pub use plan::{FaultClass, FaultPlan};
-pub use soak::{run_soak, SoakConfig, SoakReport};

@@ -12,13 +12,12 @@
 
 use std::fmt;
 
-/// One class of injected protocol-state corruption or transient fault.
+/// One class of injected protocol-state corruption or message fault.
 ///
 /// Classes marked *conservative-overstatement* in the paper's terminology
 /// (a directory claiming more sharers than exist) are legal states by
 /// design and therefore not represented here: the campaign only injects
-/// corruptions the protocol is supposed to make impossible, plus
-/// transients the hardware is supposed to heal.
+/// corruptions the protocol is supposed to make impossible.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultClass {
     /// Flip a Shared node-level copy to Forward, minting a second
@@ -50,52 +49,11 @@ pub enum FaultClass {
     /// Stall snoop messages long enough that the transaction walk blows
     /// its latency budget.
     DelaySnoop,
-    /// A short burst of QPI flit CRC corruptions the link layer must
-    /// replay transparently, changing latency only.
-    QpiCrc,
-    /// A CRC-error storm outlasting the link retry buffer; the affected
-    /// walk must fail with a typed link-failure error, nothing else.
-    QpiCrcStorm,
-    /// A transient in-memory-directory read glitch healed by an ECC
-    /// re-read (COD only).
-    DirGlitch,
-    /// A transient HitME SRAM read glitch healed by re-lookup (COD only).
-    HitMeGlitch,
-    /// A poisoned line whose consumption must abort exactly one walk with
-    /// a typed error while every other structure stays untouched.
-    PoisonLine,
-}
-
-/// What the simulator is expected to do with a fault class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FaultKind {
-    /// The invariant monitor must convert the corruption into a typed
-    /// error — silent completion is a detection gap.
-    Detect,
-    /// The hardware model must heal the transient transparently: same
-    /// data sources, protocol state, and statistics as a clean run,
-    /// latency aside.
-    Recover,
-    /// The fault is unrecoverable by design; it must be contained to one
-    /// typed error without corrupting the rest of the simulation.
-    Contain,
-}
-
-impl FaultKind {
-    /// Stable identifier used in reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            FaultKind::Detect => "detect",
-            FaultKind::Recover => "recover",
-            FaultKind::Contain => "contain",
-        }
-    }
 }
 
 impl FaultClass {
-    /// Every class, in reporting order: detection classes first, then the
-    /// recoverable/contained transients.
-    pub const ALL: [FaultClass; 16] = [
+    /// Every class, in reporting order.
+    pub const ALL: [FaultClass; 11] = [
         FaultClass::MintForwarder,
         FaultClass::BreakMExclusivity,
         FaultClass::DropL3Line,
@@ -107,11 +65,6 @@ impl FaultClass {
         FaultClass::CalibNan,
         FaultClass::DropSnoop,
         FaultClass::DelaySnoop,
-        FaultClass::QpiCrc,
-        FaultClass::QpiCrcStorm,
-        FaultClass::DirGlitch,
-        FaultClass::HitMeGlitch,
-        FaultClass::PoisonLine,
     ];
 
     /// Stable identifier used in plans and reports.
@@ -128,11 +81,6 @@ impl FaultClass {
             FaultClass::CalibNan => "calib-nan",
             FaultClass::DropSnoop => "drop-snoop",
             FaultClass::DelaySnoop => "delay-snoop",
-            FaultClass::QpiCrc => "qpi-crc",
-            FaultClass::QpiCrcStorm => "qpi-crc-storm",
-            FaultClass::DirGlitch => "dir-glitch",
-            FaultClass::HitMeGlitch => "hitme-glitch",
-            FaultClass::PoisonLine => "poison-line",
         }
     }
 
@@ -141,29 +89,15 @@ impl FaultClass {
         FaultClass::ALL.iter().copied().find(|c| c.name() == s)
     }
 
-    /// The expected simulator response to this class.
-    pub fn kind(self) -> FaultKind {
-        match self {
-            FaultClass::QpiCrc | FaultClass::DirGlitch | FaultClass::HitMeGlitch => {
-                FaultKind::Recover
-            }
-            FaultClass::QpiCrcStorm | FaultClass::PoisonLine => FaultKind::Contain,
-            _ => FaultKind::Detect,
-        }
-    }
-
     /// Whether the class touches in-memory-directory state and therefore
     /// only applies to directory-enabled (COD) modes.
     pub fn requires_directory(self) -> bool {
-        matches!(self, FaultClass::DirUnderstate | FaultClass::DirGlitch)
+        matches!(self, FaultClass::DirUnderstate)
     }
 
     /// Whether the class touches HitME state (COD with HitME enabled).
     pub fn requires_hitme(self) -> bool {
-        matches!(
-            self,
-            FaultClass::HitMeDropNode | FaultClass::HitMeFalseClean | FaultClass::HitMeGlitch
-        )
+        matches!(self, FaultClass::HitMeDropNode | FaultClass::HitMeFalseClean)
     }
 }
 
@@ -344,14 +278,18 @@ mod tests {
     #[test]
     fn rejects_unknown_class_and_key() {
         assert!(FaultPlan::from_text("classes = flip-bits\n").is_err());
-        // A class of the removed sharded runtime, as old plans name it.
-        assert!(FaultPlan::from_text("classes = shard-panic\n").is_err());
+        // Classes of the removed sharded runtime and fault-recovery model,
+        // as old plans name them.
+        for old in ["shard-panic", "qpi-crc", "poison-line"] {
+            let err = FaultPlan::from_text(&format!("# old plan\nclasses = {old}\n")).unwrap_err();
+            assert_eq!(err.errors[0], (2, format!("unknown fault class {old:?}")), "{err}");
+        }
         assert!(FaultPlan::from_text("sed = 1\n").is_err());
     }
 
     #[test]
     fn collects_every_error_with_line_numbers() {
-        let text = "seed = zzz\ntrials = 0\nclasses = qpi-crc, flip-bits\nbogus-key = 1\nno-equals-here\n";
+        let text = "seed = zzz\ntrials = 0\nclasses = drop-snoop, flip-bits\nbogus-key = 1\nno-equals-here\n";
         let err = FaultPlan::from_text(text).unwrap_err();
         let lines: Vec<usize> = err.errors.iter().map(|&(l, _)| l).collect();
         assert_eq!(lines, vec![1, 2, 3, 4, 5], "all five problems reported: {err}");
@@ -366,20 +304,6 @@ mod tests {
         for class in FaultClass::ALL {
             assert_eq!(FaultClass::from_name(class.name()), Some(class));
         }
-    }
-
-    #[test]
-    fn kinds_partition_the_classes() {
-        let recover: Vec<_> = FaultClass::ALL
-            .iter()
-            .filter(|c| c.kind() == FaultKind::Recover)
-            .collect();
-        assert_eq!(recover.len(), 3);
-        let contain: Vec<_> = FaultClass::ALL
-            .iter()
-            .filter(|c| c.kind() == FaultKind::Contain)
-            .collect();
-        assert_eq!(contain.len(), 2);
     }
 }
 
