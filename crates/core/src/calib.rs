@@ -13,8 +13,8 @@
 //! DDR4-2133 CL15 datasheet timing. The remaining constants (ring hop,
 //! queue crossing, agent pipelines) are fitted.
 
-use hswx_engine::SimDuration;
-use hswx_topology::Distance;
+use hswx_engine::{Booking, SimDuration};
+use hswx_topology::{Distance, SystemTopology};
 use serde::{Deserialize, Serialize};
 
 /// Calibrated component costs.
@@ -247,6 +247,32 @@ impl Calib {
         SimDuration::from_ns(self.transit_ns(d))
     }
 
+    /// Every fixed per-step duration of a walk, converted once.
+    pub(crate) fn step_costs(&self) -> StepCosts {
+        let ns = SimDuration::from_ns;
+        StepCosts {
+            l1: ns(self.t_l1),
+            l2: ns(self.t_l2),
+            miss_path: ns(self.t_miss_path),
+            fill: ns(self.t_fill),
+            l3_tag: ns(self.t_l3_tag),
+            l3_array: ns(self.t_l3_array),
+            probe: ns(self.t_probe),
+            probe_l2_fwd: ns(self.t_probe + self.t_probe_l2_fwd),
+            probe_l1_fwd: ns(self.t_probe + self.t_probe_l1_fwd),
+            ha: ns(self.t_ha),
+            ca_fwd: ns(self.t_ca_fwd),
+            home_snoop_issue: ns(self.t_home_snoop_issue),
+            mem_ctl: ns(self.t_mem_ctl),
+            fwd_occ_miss: ns(self.t_fwd_occ_miss),
+            fwd_occ_l2: ns(self.t_fwd_occ_l2),
+            fwd_occ_l1: ns(self.t_fwd_occ_l1),
+            msg_ctl: Booking::at_rate(self.msg_ctl, self.qpi_gb_s),
+            msg_data: Booking::at_rate(self.msg_data, self.qpi_gb_s),
+            l3_line: Booking::at_rate(64, self.l3_port_gb_s),
+        }
+    }
+
     /// One core cycle at nominal clock, ns.
     pub fn cycle_ns(&self) -> f64 {
         1.0 / self.core_ghz
@@ -266,9 +292,91 @@ impl Calib {
     }
 }
 
+/// The fixed component costs of a walk in integer picoseconds, each
+/// [`SimDuration::from_ns`] of the `Calib` expression it stands for (see
+/// [`Calib::step_costs`]). An uncontended walk is a sum of these plus
+/// [`TransitTable`] entries, so converting them once per system leaves the
+/// walk no float arithmetic.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct StepCosts {
+    /// `t_l1`.
+    pub(crate) l1: SimDuration,
+    /// `t_l2`.
+    pub(crate) l2: SimDuration,
+    /// `t_miss_path`.
+    pub(crate) miss_path: SimDuration,
+    /// `t_fill`.
+    pub(crate) fill: SimDuration,
+    /// `t_l3_tag`.
+    pub(crate) l3_tag: SimDuration,
+    /// `t_l3_array`.
+    pub(crate) l3_array: SimDuration,
+    /// `t_probe`: a core probe that misses, or an invalidation.
+    pub(crate) probe: SimDuration,
+    /// `t_probe + t_probe_l2_fwd`, summed in ns.
+    pub(crate) probe_l2_fwd: SimDuration,
+    /// `t_probe + t_probe_l1_fwd`, summed in ns.
+    pub(crate) probe_l1_fwd: SimDuration,
+    /// `t_ha`.
+    pub(crate) ha: SimDuration,
+    /// `t_ca_fwd`.
+    pub(crate) ca_fwd: SimDuration,
+    /// `t_home_snoop_issue`.
+    pub(crate) home_snoop_issue: SimDuration,
+    /// `t_mem_ctl`.
+    pub(crate) mem_ctl: SimDuration,
+    /// `t_fwd_occ_miss`: responder occupancy of a probe that misses.
+    pub(crate) fwd_occ_miss: SimDuration,
+    /// `t_fwd_occ_l2`.
+    pub(crate) fwd_occ_l2: SimDuration,
+    /// `t_fwd_occ_l1`.
+    pub(crate) fwd_occ_l1: SimDuration,
+    /// A `msg_ctl` message on a QPI link.
+    pub(crate) msg_ctl: Booking,
+    /// A `msg_data` message on a QPI link.
+    pub(crate) msg_data: Booking,
+    /// A 64-byte line through an L3 slice port.
+    pub(crate) l3_line: Booking,
+}
+
+/// [`Calib::transit`] of every ordered pair of ring stops, once on one die
+/// and once across a QPI link. Each entry converts the whole distance, never
+/// a sum of separately rounded legs. Dies are identical and sockets fully
+/// connected, so the table does not grow with the socket count.
+#[derive(Debug, Clone)]
+pub(crate) struct TransitTable {
+    n_stops: usize,
+    /// Indexed `[cross_socket][a][b]`.
+    ps: Vec<SimDuration>,
+}
+
+impl TransitTable {
+    /// The table for `topo`'s dies at `cal`'s constants.
+    pub(crate) fn new(cal: &Calib, topo: &SystemTopology) -> Self {
+        let n = topo.n_stops();
+        let ps = [false, true]
+            .into_iter()
+            .flat_map(|cross| {
+                (0..n * n).map(move |i| cal.transit(topo.stop_distance(i / n, i % n, cross)))
+            })
+            .collect();
+        TransitTable { n_stops: n, ps }
+    }
+
+    /// Transit from stop `a` to stop `b` (see [`SystemTopology::locate`]).
+    #[inline]
+    pub(crate) fn get(&self, a: usize, b: usize, cross_socket: bool) -> SimDuration {
+        self.ps[(cross_socket as usize * self.n_stops + a) * self.n_stops + b]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{CoherenceMode, SystemConfig};
+    use crate::system::System;
+    use hswx_mem::{CoreId, HaId, SliceId, SocketId};
+    use hswx_topology::Endpoint;
 
     #[test]
     fn cycle_counts_match_paper_table() {
@@ -315,5 +423,80 @@ mod tests {
         // SSE: 64 B per 0.8 ns = 80 GB/s peak (paper measures 77.1).
         let sse = 64.0 / c.line_issue_gap_ns(false);
         assert!((sse - 80.0).abs() < 1.0, "{sse}");
+    }
+
+    /// Every configuration the artifact registry builds: the paper system
+    /// in all three modes on 2 and 4 sockets, the 8- and 18-core dies, and
+    /// the uncore-scaled calibrations, whose constants are not whole
+    /// picoseconds.
+    fn registry_configs() -> Vec<SystemConfig> {
+        let mut cfgs = Vec::new();
+        for mode in CoherenceMode::all() {
+            cfgs.push(SystemConfig::e5_2680_v3(mode));
+            cfgs.push(SystemConfig::quad_socket(mode));
+            cfgs.push(SystemConfig::e5_8core(mode));
+            cfgs.push(SystemConfig::e5_18core(mode));
+        }
+        for scale in [1.05, 1.10, 1.15, 1.20, 1.25] {
+            let mut cfg = SystemConfig::e5_2680_v3(CoherenceMode::SourceSnoop);
+            cfg.calib = cfg.calib.with_uncore_scale(scale);
+            cfgs.push(cfg);
+        }
+        cfgs
+    }
+
+    #[test]
+    fn step_tables_equal_the_expressions_they_replace() {
+        let ns = SimDuration::from_ns;
+        let booking = |bytes, gb_s| Booking { bytes, dur: SimDuration::for_bytes(bytes, gb_s) };
+        let mut leg_rounding_differs = false;
+        for cfg in registry_configs() {
+            let sys = System::new(cfg.clone());
+            let (cal, c) = (&cfg.calib, sys.costs);
+            let want = StepCosts {
+                l1: ns(cal.t_l1),
+                l2: ns(cal.t_l2),
+                miss_path: ns(cal.t_miss_path),
+                fill: ns(cal.t_fill),
+                l3_tag: ns(cal.t_l3_tag),
+                l3_array: ns(cal.t_l3_array),
+                probe: ns(cal.t_probe),
+                probe_l2_fwd: ns(cal.t_probe + cal.t_probe_l2_fwd),
+                probe_l1_fwd: ns(cal.t_probe + cal.t_probe_l1_fwd),
+                ha: ns(cal.t_ha),
+                ca_fwd: ns(cal.t_ca_fwd),
+                home_snoop_issue: ns(cal.t_home_snoop_issue),
+                mem_ctl: ns(cal.t_mem_ctl),
+                fwd_occ_miss: ns(cal.t_fwd_occ_miss),
+                fwd_occ_l2: ns(cal.t_fwd_occ_l2),
+                fwd_occ_l1: ns(cal.t_fwd_occ_l1),
+                msg_ctl: booking(cal.msg_ctl, cal.qpi_gb_s),
+                msg_data: booking(cal.msg_data, cal.qpi_gb_s),
+                l3_line: booking(64, cal.l3_port_gb_s),
+            };
+            assert_eq!(c, want, "{}-socket {:?} {:?}", cfg.sockets, cfg.die, cfg.mode);
+
+            let topo = &sys.topo;
+            let mut ends: Vec<Endpoint> = (0..topo.n_cores())
+                .flat_map(|i| [Endpoint::Core(CoreId(i)), Endpoint::Slice(SliceId(i))])
+                .collect();
+            ends.extend((0..cfg.n_has()).map(|h| Endpoint::Ha(HaId(h))));
+            ends.extend((0..topo.n_sockets()).map(|s| Endpoint::Qpi(SocketId(s))));
+            for &a in &ends {
+                for &b in &ends {
+                    let d = topo.distance(a, b);
+                    let ((sa, ia), (sb, ib)) = (topo.locate(a), topo.locate(b));
+                    assert_eq!(d.qpi > 0, sa != sb, "{a:?} -> {b:?}: QPI iff sockets differ");
+                    let got = sys.transit.get(ia, ib, sa != sb);
+                    assert_eq!(got, ns(cal.transit_ns(d)), "{a:?} -> {b:?} in {cfg:?}");
+                    let per_leg = ns(cal.t_inject)
+                        + ns(cal.t_hop) * d.ring_hops as u64
+                        + ns(cal.t_queue) * d.queues as u64
+                        + ns(cal.t_qpi) * d.qpi as u64;
+                    leg_rounding_differs |= got != per_leg;
+                }
+            }
+        }
+        assert!(leg_rounding_differs, "no configuration tells whole-distance rounding apart");
     }
 }

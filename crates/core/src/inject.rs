@@ -14,7 +14,7 @@
 //! directory bits, dropped or delayed snoops, orphaned core copies and
 //! corrupt calibration constants that the invariant monitor must catch.
 
-use crate::calib::Calib;
+use crate::calib::{Calib, TransitTable};
 use crate::system::System;
 use hswx_coherence::{DirState, HitMeEntry, MesifState};
 use hswx_mem::{LineAddr, NodeId};
@@ -105,9 +105,13 @@ impl System {
         self.hitme[ha.0 as usize].peek(line).copied()
     }
 
-    /// Mutate the calibration constants in place (e.g. make one NaN).
+    /// Mutate the calibration constants in place (e.g. make one NaN). The
+    /// step costs and transit table are rebuilt from the result, so later
+    /// walks run exactly as in a system built with the corrupt constants.
     pub fn inject_calib(&mut self, f: impl FnOnce(&mut Calib)) {
         f(&mut self.cal);
+        self.costs = self.cal.step_costs();
+        self.transit = TransitTable::new(&self.cal, &self.topo);
     }
 
     /// Arm `count` snoop drops: the next `count` peer snoops are swallowed

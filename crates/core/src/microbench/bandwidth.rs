@@ -46,20 +46,37 @@ struct CoreStream<'a> {
     done: SimTime,
 }
 
-fn issue_gap(sys: &System, width: LoadWidth, source: DataSource) -> SimDuration {
-    let cal = sys.calib();
-    let avx = width == LoadWidth::Avx256;
-    let front = cal.line_issue_gap_ns(avx);
-    let gap_ns = match source {
-        DataSource::SelfL1 => front,
-        DataSource::SelfL2 => {
-            let port = if avx { cal.l2_port_avx_gb_s } else { cal.l2_port_sse_gb_s };
-            front.max(64.0 / port)
+/// Spacing between a stream's consecutive line issues, by where the
+/// previous line came from; converted once per kernel call.
+struct IssueGaps {
+    /// The load front end alone.
+    l1: SimDuration,
+    /// Also bounded by the L2→L1 port.
+    l2: SimDuration,
+    /// Beyond L2: also bounded by the miss-dispatch rate.
+    uncore: SimDuration,
+}
+
+impl IssueGaps {
+    fn new(sys: &System, width: LoadWidth) -> Self {
+        let cal = sys.calib();
+        let avx = width == LoadWidth::Avx256;
+        let front = cal.line_issue_gap_ns(avx);
+        let port = if avx { cal.l2_port_avx_gb_s } else { cal.l2_port_sse_gb_s };
+        IssueGaps {
+            l1: SimDuration::from_ns(front),
+            l2: SimDuration::from_ns(front.max(64.0 / port)),
+            uncore: SimDuration::from_ns(front.max(cal.t_uncore_gap)),
         }
-        // Beyond L2: the miss-dispatch rate bounds request issue.
-        _ => front.max(cal.t_uncore_gap),
-    };
-    SimDuration::from_ns(gap_ns)
+    }
+
+    fn after(&self, source: DataSource) -> SimDuration {
+        match source {
+            DataSource::SelfL1 => self.l1,
+            DataSource::SelfL2 => self.l2,
+            _ => self.uncore,
+        }
+    }
 }
 
 fn window_size(sys: &System) -> usize {
@@ -153,6 +170,7 @@ fn run_streams(
 ) -> BandwidthMeasurement {
     assert!(!streams.is_empty());
     let wsize = window_size(sys);
+    let gaps = IssueGaps::new(sys, width);
     let mut cs: Vec<CoreStream> = streams
         .iter()
         .map(|&(core, lines)| CoreStream {
@@ -192,7 +210,7 @@ fn run_streams(
             StreamOp::WriteNt => sys.write_nt(s.core, line, slot),
         };
         s.window.occupy_until(out.done);
-        s.issue_t = slot + issue_gap(sys, width, out.source);
+        s.issue_t = slot + gaps.after(out.source);
         s.done = s.done.max(out.done);
         *by_source.entry(out.source).or_insert(0) += 1;
         total_lines += 1;

@@ -10,10 +10,11 @@
 //! contention and queueing emerge under load.
 //!
 //! Coherence *decisions* come from `hswx-coherence`'s pure rule tables;
-//! structural *distances* from `hswx-topology`; the nanosecond cost of each
-//! component from [`crate::calib::Calib`].
+//! structural *distances* from `hswx-topology`; the cost of each component
+//! from [`crate::calib::Calib`], converted to picoseconds once per system
+//! (`StepCosts`, `TransitTable`).
 
-use crate::calib::Calib;
+use crate::calib::{Calib, StepCosts, TransitTable};
 use crate::config::{ConfigError, SystemConfig};
 use crate::error::SimError;
 use crate::inject::FaultState;
@@ -29,8 +30,8 @@ use hswx_engine::trace::SpanId;
 #[cfg(feature = "trace")]
 use hswx_engine::{TelemetryHub, TelemetrySampler};
 use hswx_engine::{
-    fnv1a64, fnv1a64_extend, CancelToken, FxHashMap, MetricsRegistry, SimDuration, SimTime,
-    ThroughputResource, TimedPool,
+    fnv1a64, fnv1a64_extend, Booking, CancelToken, FxHashMap, MetricsRegistry, SimDuration,
+    SimTime, ThroughputResource, TimedPool,
 };
 use hswx_mem::{
     CoreId, HaId, LineAddr, MemoryController, NodeId, SetAssocCache, SliceId,
@@ -176,6 +177,10 @@ pub struct System {
     pub topo: SystemTopology,
     pub(crate) proto: ProtocolConfig,
     pub(crate) cal: Calib,
+    /// `cal`'s fixed step costs in picoseconds (kept in step with `cal`).
+    pub(crate) costs: StepCosts,
+    /// `cal`'s ring/QPI transit time between every pair of stops.
+    pub(crate) transit: TransitTable,
 
     pub(crate) l1: Vec<SetAssocCache<CoreState>>,
     pub(crate) l2: Vec<SetAssocCache<CoreState>>,
@@ -306,6 +311,8 @@ impl System {
             }
         } as usize;
         Ok(System {
+            costs: cal.step_costs(),
+            transit: TransitTable::new(&cal, &topo),
             topo,
             proto,
             cal,
@@ -842,24 +849,24 @@ impl System {
     // messaging primitives
     // ------------------------------------------------------------------
 
-    /// Deliver a `bytes`-sized message, reserving QPI when the path crosses
-    /// sockets. Returns the arrival time.
+    /// Deliver message `msg` (a QPI booking: `costs.msg_ctl` or
+    /// `costs.msg_data`), reserving QPI when the path crosses sockets.
+    /// Returns the arrival time.
     fn send<const TRACED: bool>(
         &mut self,
         t: SimTime,
         from: Endpoint,
         to: Endpoint,
-        bytes: u64,
+        msg: Booking,
     ) -> SimTime {
         self.walk_steps = self.walk_steps.saturating_add(1);
-        let d = self.topo.distance(from, to);
-        let transit = self.cal.transit(d);
-        if d.qpi > 0 {
-            let sa = self.socket_of_endpoint(from);
-            let sb = self.socket_of_endpoint(to);
+        let (sa, ia) = self.topo.locate(from);
+        let (sb, ib) = self.topo.locate(to);
+        if sa != sb {
             let idx = sa.0 as usize * self.cfg.sockets as usize + sb.0 as usize;
-            let serialized = self.qpi[idx].transfer(t, bytes);
-            let at = serialized + transit;
+            let serialized = self.qpi[idx].transfer(t, msg);
+            let at = serialized + self.transit.get(ia, ib, true);
+            let bytes = msg.bytes;
             self.span_leaf_with::<TRACED, _>("qpi_hop", "qpi", t, at, || {
                 format!("{from:?}\u{2192}{to:?} {bytes}B")
             });
@@ -867,24 +874,11 @@ impl System {
             self.tap_span::<TRACED>("qpi.busy_ps", t, at);
             at
         } else {
-            let at = t + transit;
+            let at = t + self.transit.get(ia, ib, false);
             self.span_leaf::<TRACED>("ring_hop", "ring", t, at);
             self.tap_span::<TRACED>("ring.busy_ps", t, at);
             at
         }
-    }
-
-    fn socket_of_endpoint(&self, e: Endpoint) -> hswx_mem::SocketId {
-        match e {
-            Endpoint::Core(c) => self.topo.socket_of_core(c),
-            Endpoint::Slice(s) => self.topo.socket_of_core(CoreId(s.0)),
-            Endpoint::Ha(h) => hswx_mem::SocketId(h.0 / 2),
-            Endpoint::Qpi(s) => s,
-        }
-    }
-
-    fn ns(&self, x: f64) -> SimDuration {
-        SimDuration::from_ns(x)
     }
 
     // ------------------------------------------------------------------
@@ -1085,7 +1079,7 @@ impl System {
         let node = self.topo.node_of_core(core);
         let slice = self.topo.slice_for_line(line, node);
         let local = self.topo.node_local_core(core);
-        self.l3_port[slice.0 as usize].transfer(t, 64);
+        self.l3_port[slice.0 as usize].transfer(t, self.costs.l3_line);
         if let Some(meta) = self.l3[slice.0 as usize].peek_mut(line) {
             meta.on_dirty_writeback(local);
         } else {
@@ -1196,7 +1190,7 @@ impl System {
                 }
             }
             self.log(t, ProtoStep::PrivateHit { level: 1 });
-            let out = AccessOutcome { done: t + self.ns(self.cal.t_l1), source: DataSource::SelfL1 };
+            let out = AccessOutcome { done: t + self.costs.l1, source: DataSource::SelfL1 };
             self.span_leaf::<TRACED>("l1_hit", "core", t, out.done);
             self.stats.tally_read(out.source);
             return Ok(out);
@@ -1211,7 +1205,7 @@ impl System {
             // Refill L1.
             self.fill_private(core, line, st, t);
             self.log(t, ProtoStep::PrivateHit { level: 2 });
-            let out = AccessOutcome { done: t + self.ns(self.cal.t_l2), source: DataSource::SelfL2 };
+            let out = AccessOutcome { done: t + self.costs.l2, source: DataSource::SelfL2 };
             self.span_leaf::<TRACED>("l2_hit", "core", t, out.done);
             self.stats.tally_read(out.source);
             return Ok(out);
@@ -1250,14 +1244,14 @@ impl System {
             }
         }
         let sp = self.span_begin::<TRACED>("f_reclaim", "coherence", t);
-        let t_req = t + self.ns(self.cal.t_miss_path);
-        let t_at_ca = self.send::<TRACED>(t_req, Endpoint::Core(core), Endpoint::Slice(slice), self.cal.msg_ctl);
-        let t_arr = t_at_ca + self.ns(self.cal.t_l3_array);
+        let t_req = t + self.costs.miss_path;
+        let t_at_ca = self.send::<TRACED>(t_req, Endpoint::Core(core), Endpoint::Slice(slice), self.costs.msg_ctl);
+        let t_arr = t_at_ca + self.costs.l3_array;
         self.span_leaf::<TRACED>("l3_array", "mem", t_at_ca, t_arr);
-        let t_data = self.l3_port[slice.0 as usize].transfer(t_arr, 64);
+        let t_data = self.l3_port[slice.0 as usize].transfer(t_arr, self.costs.l3_line);
         self.span_leaf::<TRACED>("l3_port", "mem", t_arr, t_data);
-        let t_sent = self.send::<TRACED>(t_data, Endpoint::Slice(slice), Endpoint::Core(core), self.cal.msg_data);
-        let done = t_sent + self.ns(self.cal.t_fill);
+        let t_sent = self.send::<TRACED>(t_data, Endpoint::Slice(slice), Endpoint::Core(core), self.costs.msg_data);
+        let done = t_sent + self.costs.fill;
         self.span_leaf::<TRACED>("fill", "core", t_sent, done);
         self.span_end(sp, done);
         let out = AccessOutcome { done, source: DataSource::LocalL3 };
@@ -1275,20 +1269,20 @@ impl System {
         let node = self.topo.node_of_core(core);
         let local = self.topo.node_local_core(core);
         let slice = self.topo.slice_for_line(line, node);
-        let t_req = t + self.ns(self.cal.t_miss_path);
-        let t_at_ca = self.send::<TRACED>(t_req, Endpoint::Core(core), Endpoint::Slice(slice), self.cal.msg_ctl);
+        let t_req = t + self.costs.miss_path;
+        let t_at_ca = self.send::<TRACED>(t_req, Endpoint::Core(core), Endpoint::Slice(slice), self.costs.msg_ctl);
 
         let meta_snapshot = self.l3[slice.0 as usize].access(line).map(|m| *m);
         self.log(t_at_ca, ProtoStep::CaLookup { slice, hit: meta_snapshot.is_some() });
         match ca_local_action(ReqType::Read, meta_snapshot.as_ref(), local) {
             CaAction::ServeFromL3 => {
-                let t_arr = t_at_ca + self.ns(self.cal.t_l3_array);
+                let t_arr = t_at_ca + self.costs.l3_array;
                 self.span_leaf::<TRACED>("l3_array", "mem", t_at_ca, t_arr);
-                let t_data = self.l3_port[slice.0 as usize].transfer(t_arr, 64);
+                let t_data = self.l3_port[slice.0 as usize].transfer(t_arr, self.costs.l3_line);
                 self.span_leaf::<TRACED>("l3_port", "mem", t_arr, t_data);
                 let t_sent =
-                    self.send::<TRACED>(t_data, Endpoint::Slice(slice), Endpoint::Core(core), self.cal.msg_data);
-                let done = t_sent + self.ns(self.cal.t_fill);
+                    self.send::<TRACED>(t_data, Endpoint::Slice(slice), Endpoint::Core(core), self.costs.msg_data);
+                let done = t_sent + self.costs.fill;
                 self.span_leaf::<TRACED>("fill", "core", t_sent, done);
                 // The line can only have vanished between the lookup above
                 // and here through injected corruption; fill Shared and let
@@ -1332,30 +1326,23 @@ impl System {
     ) -> AccessOutcome {
         self.stats.snoops_sent += 1;
         let target = self.topo.cores_of_node(node)[target_local as usize];
-        let t_snp = t_at_ca + self.ns(self.cal.t_l3_tag);
-        let t_probe_at = self.send::<TRACED>(t_snp, Endpoint::Slice(slice), Endpoint::Core(target), self.cal.msg_ctl);
+        let t_snp = t_at_ca + self.costs.l3_tag;
+        let t_probe_at = self.send::<TRACED>(t_snp, Endpoint::Slice(slice), Endpoint::Core(target), self.costs.msg_ctl);
         let ti = target.0 as usize;
 
         // Probe the target's private caches; the target core answers one
         // probe at a time.
         let in_l1 = self.l1[ti].peek(line).copied();
         let in_l2 = self.l2[ti].peek(line).copied();
-        let (fwd, probe_ns, occ_ns) = match (in_l1, in_l2) {
-            (Some(CoreState::Modified), _) => (
-                true,
-                self.cal.t_probe + self.cal.t_probe_l1_fwd,
-                self.cal.t_fwd_occ_l1,
-            ),
-            (_, Some(CoreState::Modified)) => (
-                true,
-                self.cal.t_probe + self.cal.t_probe_l2_fwd,
-                self.cal.t_fwd_occ_l2,
-            ),
-            _ => (false, self.cal.t_probe, self.cal.t_fwd_occ_miss),
+        let c = &self.costs;
+        let (fwd, probe, occ) = match (in_l1, in_l2) {
+            (Some(CoreState::Modified), _) => (true, c.probe_l1_fwd, c.fwd_occ_l1),
+            (_, Some(CoreState::Modified)) => (true, c.probe_l2_fwd, c.fwd_occ_l2),
+            _ => (false, c.probe, c.fwd_occ_miss),
         };
         let t_serve = t_probe_at.max(self.fwd_busy[ti]);
-        self.fwd_busy[ti] = t_serve + self.ns(occ_ns);
-        let t_probe_done = t_serve + self.ns(probe_ns);
+        self.fwd_busy[ti] = t_serve + occ;
+        let t_probe_done = t_serve + probe;
         self.log(t_probe_done, ProtoStep::LocalCoreProbe { target, forwarded: fwd });
         self.span_leaf_with::<TRACED, _>("probe_core", "coherence", t_serve, t_probe_done, || {
             format!("core{} fwd={fwd}", target.0)
@@ -1370,8 +1357,8 @@ impl System {
                 *s = CoreState::Shared;
             }
             let t_sent =
-                self.send::<TRACED>(t_probe_done, Endpoint::Core(target), Endpoint::Core(core), self.cal.msg_data);
-            let done = t_sent + self.ns(self.cal.t_fill);
+                self.send::<TRACED>(t_probe_done, Endpoint::Core(target), Endpoint::Core(core), self.costs.msg_data);
+            let done = t_sent + self.costs.fill;
             self.span_leaf::<TRACED>("fill", "core", t_sent, done);
             if let Some(meta) = self.l3[slice.0 as usize].peek_mut(line) {
                 meta.state = MesifState::Modified; // L3 absorbs the dirty data
@@ -1391,15 +1378,15 @@ impl System {
                 }
             }
             let t_resp_at_ca =
-                self.send::<TRACED>(t_probe_done, Endpoint::Core(target), Endpoint::Slice(slice), self.cal.msg_ctl);
-            let t_arr = t_at_ca + self.ns(self.cal.t_l3_array);
+                self.send::<TRACED>(t_probe_done, Endpoint::Core(target), Endpoint::Slice(slice), self.costs.msg_ctl);
+            let t_arr = t_at_ca + self.costs.l3_array;
             self.span_leaf::<TRACED>("l3_array", "mem", t_at_ca, t_arr);
-            let t_array = self.l3_port[slice.0 as usize].transfer(t_arr, 64);
+            let t_array = self.l3_port[slice.0 as usize].transfer(t_arr, self.costs.l3_line);
             self.span_leaf::<TRACED>("l3_port", "mem", t_arr, t_array);
             let t_data = t_resp_at_ca.max(t_array);
             let t_sent =
-                self.send::<TRACED>(t_data, Endpoint::Slice(slice), Endpoint::Core(core), self.cal.msg_data);
-            let done = t_sent + self.ns(self.cal.t_fill);
+                self.send::<TRACED>(t_data, Endpoint::Slice(slice), Endpoint::Core(core), self.costs.msg_data);
+            let done = t_sent + self.costs.fill;
             self.span_leaf::<TRACED>("fill", "core", t_sent, done);
             if let Some(meta) = self.l3[slice.0 as usize].peek_mut(line) {
                 meta.add_core(local);
@@ -1426,20 +1413,20 @@ impl System {
         // fabricates an instant "no copy" response without consulting the
         // peer at all; a delayed one stalls before delivery.
         if self.faults.take_drop() {
-            let resp_at_ha = self.send::<TRACED>(t_sent, from, Endpoint::Ha(ha), self.cal.msg_ctl);
+            let resp_at_ha = self.send::<TRACED>(t_sent, from, Endpoint::Ha(ha), self.costs.msg_ctl);
             return PeerProbe { resp_at_ha, forward: None, keeps_copy: false };
         }
         let t_sent = match self.faults.take_delay() {
-            Some(delay_ns) => t_sent + self.ns(delay_ns),
+            Some(delay_ns) => t_sent + SimDuration::from_ns(delay_ns),
             None => t_sent,
         };
-        let t_at_peer = self.send::<TRACED>(t_sent, from, Endpoint::Slice(pslice), self.cal.msg_ctl);
-        let t_lookup = t_at_peer + self.ns(self.cal.t_l3_tag);
+        let t_at_peer = self.send::<TRACED>(t_sent, from, Endpoint::Slice(pslice), self.costs.msg_ctl);
+        let t_lookup = t_at_peer + self.costs.l3_tag;
 
         let meta = self.l3[pslice.0 as usize].peek(line).copied();
         let Some(mut m) = meta else {
             let resp_at_ha =
-                self.send::<TRACED>(t_lookup, Endpoint::Slice(pslice), Endpoint::Ha(ha), self.cal.msg_ctl);
+                self.send::<TRACED>(t_lookup, Endpoint::Slice(pslice), Endpoint::Ha(ha), self.costs.msg_ctl);
             return PeerProbe { resp_at_ha, forward: None, keeps_copy: false };
         };
 
@@ -1450,26 +1437,19 @@ impl System {
         if let Some(target_local) = m.snoop_probe_target() {
             let target = self.topo.cores_of_node(peer)[target_local as usize];
             let t_probe_at =
-                self.send::<TRACED>(t_lookup, Endpoint::Slice(pslice), Endpoint::Core(target), self.cal.msg_ctl);
+                self.send::<TRACED>(t_lookup, Endpoint::Slice(pslice), Endpoint::Core(target), self.costs.msg_ctl);
             let ti = target.0 as usize;
             let in_l1 = self.l1[ti].peek(line).copied();
             let in_l2 = self.l2[ti].peek(line).copied();
-            let (from_core, probe_ns, occ_ns) = match (in_l1, in_l2) {
-                (Some(CoreState::Modified), _) => (
-                    true,
-                    self.cal.t_probe + self.cal.t_probe_l1_fwd,
-                    self.cal.t_fwd_occ_l1,
-                ),
-                (_, Some(CoreState::Modified)) => (
-                    true,
-                    self.cal.t_probe + self.cal.t_probe_l2_fwd,
-                    self.cal.t_fwd_occ_l2,
-                ),
-                _ => (false, self.cal.t_probe, self.cal.t_fwd_occ_miss),
+            let c = &self.costs;
+            let (from_core, probe, occ) = match (in_l1, in_l2) {
+                (Some(CoreState::Modified), _) => (true, c.probe_l1_fwd, c.fwd_occ_l1),
+                (_, Some(CoreState::Modified)) => (true, c.probe_l2_fwd, c.fwd_occ_l2),
+                _ => (false, c.probe, c.fwd_occ_miss),
             };
             let t_serve = t_probe_at.max(self.fwd_busy[ti]);
-            self.fwd_busy[ti] = t_serve + self.ns(occ_ns);
-            let t_probe_done = t_serve + self.ns(probe_ns);
+            self.fwd_busy[ti] = t_serve + occ;
+            let t_probe_done = t_serve + probe;
             self.log(t_probe_done, ProtoStep::PeerCoreProbe { node: peer, target, forwarded: from_core });
             self.span_leaf_with::<TRACED, _>("probe_core", "coherence", t_serve, t_probe_done, || {
                 format!("node{} core{} fwd={from_core}", peer.0, target.0)
@@ -1484,13 +1464,13 @@ impl System {
                 }
                 // Data is forwarded straight from the probed core.
                 let dirty_wb = m.state.is_dirty() || from_core;
-                let t_fwd = t_probe_done + self.ns(self.cal.t_ca_fwd);
+                let t_fwd = t_probe_done + self.costs.ca_fwd;
                 let t_sent = self
-                    .send::<TRACED>(t_fwd, Endpoint::Core(target), Endpoint::Core(requester_core), self.cal.msg_data);
-                let data_at = t_sent + self.ns(self.cal.t_fill);
+                    .send::<TRACED>(t_fwd, Endpoint::Core(target), Endpoint::Core(requester_core), self.costs.msg_data);
+                let data_at = t_sent + self.costs.fill;
                 self.span_leaf::<TRACED>("fill", "core", t_sent, data_at);
                 let resp_at_ha =
-                    self.send::<TRACED>(t_probe_done, Endpoint::Core(target), Endpoint::Ha(ha), self.cal.msg_ctl);
+                    self.send::<TRACED>(t_probe_done, Endpoint::Core(target), Endpoint::Ha(ha), self.costs.msg_ctl);
                 // Node demotes to Shared; dirty data also goes home.
                 m.state = MesifState::Shared;
                 if dirty_wb {
@@ -1519,26 +1499,26 @@ impl System {
                 t_probe_done,
                 Endpoint::Core(target),
                 Endpoint::Slice(pslice),
-                self.cal.msg_ctl,
+                self.costs.msg_ctl,
             ));
         }
 
         if m.state.can_forward() {
             let dirty = m.state.is_dirty();
-            let t_arr = t_lookup + self.ns(self.cal.t_l3_array);
+            let t_arr = t_lookup + self.costs.l3_array;
             self.span_leaf::<TRACED>("l3_array", "mem", t_lookup, t_arr);
-            let mut t_data = self.l3_port[pslice.0 as usize].transfer(t_arr, 64);
+            let mut t_data = self.l3_port[pslice.0 as usize].transfer(t_arr, self.costs.l3_line);
             self.span_leaf::<TRACED>("l3_port", "mem", t_arr, t_data);
             if let Some(resp) = probe_resp_at_ca {
                 t_data = t_data.max(resp);
             }
-            t_data += self.ns(self.cal.t_ca_fwd);
+            t_data += self.costs.ca_fwd;
             let t_sent = self
-                .send::<TRACED>(t_data, Endpoint::Slice(pslice), Endpoint::Core(requester_core), self.cal.msg_data);
-            let data_at = t_sent + self.ns(self.cal.t_fill);
+                .send::<TRACED>(t_data, Endpoint::Slice(pslice), Endpoint::Core(requester_core), self.costs.msg_data);
+            let data_at = t_sent + self.costs.fill;
             self.span_leaf::<TRACED>("fill", "core", t_sent, data_at);
             let resp_at_ha =
-                self.send::<TRACED>(t_data, Endpoint::Slice(pslice), Endpoint::Ha(ha), self.cal.msg_ctl);
+                self.send::<TRACED>(t_data, Endpoint::Slice(pslice), Endpoint::Ha(ha), self.costs.msg_ctl);
             m.state = m.state.after_forwarding_read();
             if dirty {
                 let (wb_done, _) = self.mem[ha.0 as usize].access(resp_at_ha, line, true);
@@ -1555,7 +1535,7 @@ impl System {
             // Shared copy: cannot forward; just acknowledge.
             let t_ack = probe_resp_at_ca.map_or(t_lookup, |r| r.max(t_lookup));
             let resp_at_ha =
-                self.send::<TRACED>(t_ack, Endpoint::Slice(pslice), Endpoint::Ha(ha), self.cal.msg_ctl);
+                self.send::<TRACED>(t_ack, Endpoint::Slice(pslice), Endpoint::Ha(ha), self.costs.msg_ctl);
             PeerProbe { resp_at_ha, forward: None, keeps_copy: m.state.is_valid() }
         }
     }
@@ -1574,7 +1554,7 @@ impl System {
     ) -> AccessOutcome {
         let home = self.topo.home_node_of_line(line);
         let ha = self.topo.ha_for_line(line);
-        let t_miss = t_at_ca + self.ns(self.cal.t_l3_tag);
+        let t_miss = t_at_ca + self.costs.l3_tag;
         self.span_leaf::<TRACED>("cbo_tag", "coherence", t_at_ca, t_miss);
         self.tap_span::<TRACED>("cbo.tag_busy_ps", t_at_ca, t_miss);
         let all = self.all_nodes();
@@ -1595,7 +1575,7 @@ impl System {
 
         // Request travels to the home agent; tracker admission control.
         self.log(t_miss, ProtoStep::HomeRequest { ha });
-        let req_at_ha = self.send::<TRACED>(t_miss, Endpoint::Slice(slice), Endpoint::Ha(ha), self.cal.msg_ctl);
+        let req_at_ha = self.send::<TRACED>(t_miss, Endpoint::Slice(slice), Endpoint::Ha(ha), self.costs.msg_ctl);
         let ha_span = self.span_begin::<TRACED>("home_agent", "coherence", req_at_ha);
         // Which tracker pool: COD partitions by cluster, the two-socket
         // modes by socket (QPI RTID preallocation).
@@ -1606,7 +1586,7 @@ impl System {
         };
         let pool = &mut self.trackers[ha.0 as usize][remote_req as usize];
         let t_admitted = pool.wait_for_slot(req_at_ha);
-        let t_arrival = t_admitted + self.ns(self.cal.t_ha);
+        let t_arrival = t_admitted + self.costs.ha;
         self.span_leaf::<TRACED>("tracker_wait", "coherence", req_at_ha, t_admitted);
         self.span_leaf::<TRACED>("ha_pipeline", "coherence", t_admitted, t_arrival);
         self.tap_span::<TRACED>("ha.tracker_wait_ps", req_at_ha, t_admitted);
@@ -1640,7 +1620,7 @@ impl System {
             format!("{row_outcome:?} ch{channel}")
         });
         self.tap_span::<TRACED>("dram.busy_ps", t_arrival, dev_done);
-        let dram_done = dev_done + self.ns(self.cal.t_mem_ctl);
+        let dram_done = dev_done + self.costs.mem_ctl;
         self.span_leaf::<TRACED>("mem_ctl", "mem", dev_done, dram_done);
 
         // Home-snoop-mode probes issued by the HA.
@@ -1648,7 +1628,7 @@ impl System {
         if self.proto.mode == SnoopMode::Home {
             // The local CA probe is a plain ring message; the snoop-issue
             // delay models QPI-bound snoop broadcast arbitration only.
-            let t_issue = t_arrival + self.ns(self.cal.t_home_snoop_issue);
+            let t_issue = t_arrival + self.costs.home_snoop_issue;
             if plan.probe_home_ca {
                 let sp = self.span_begin::<TRACED>("snoop", "coherence", t_arrival);
                 let p = self.probe_peer::<TRACED>(home, line, t_arrival, Endpoint::Ha(ha), core, ha);
@@ -1696,7 +1676,7 @@ impl System {
                     broadcast_snooped = true;
                     // Broadcast can only start once the directory (with the
                     // data) has been read.
-                    let t_issue = dram_done + self.ns(self.cal.t_home_snoop_issue);
+                    let t_issue = dram_done + self.costs.home_snoop_issue;
                     let sp = self.span_begin::<TRACED>("snoop", "coherence", t_issue);
                     let p = self.probe_peer::<TRACED>(peer, line, t_issue, Endpoint::Ha(ha), core, ha);
                     self.span_detail(sp, || format!("node{}", peer.0));
@@ -1730,8 +1710,8 @@ impl System {
                     dram_done.max(last_resp)
                 };
                 let t_sent =
-                    self.send::<TRACED>(t_mem_ready, Endpoint::Ha(ha), Endpoint::Core(core), self.cal.msg_data);
-                let done = t_sent + self.ns(self.cal.t_fill);
+                    self.send::<TRACED>(t_mem_ready, Endpoint::Ha(ha), Endpoint::Core(core), self.costs.msg_data);
+                let done = t_sent + self.costs.fill;
                 self.span_leaf::<TRACED>("fill", "core", t_sent, done);
                 if copies_remain {
                     self.stats.remote_dram_fwd += 1;
@@ -1879,13 +1859,13 @@ impl System {
                 if let Some(s2) = self.l2[ci].peek_mut(line) {
                     *s2 = CoreState::Modified;
                 }
-                return Ok(AccessOutcome { done: t + self.ns(self.cal.t_l1), source: DataSource::SelfL1 });
+                return Ok(AccessOutcome { done: t + self.costs.l1, source: DataSource::SelfL1 });
             }
         } else if let Some(st) = self.l2[ci].access(line) {
             if st.can_write() {
                 *st = CoreState::Modified;
                 self.fill_private(core, line, CoreState::Modified, t);
-                return Ok(AccessOutcome { done: t + self.ns(self.cal.t_l2), source: DataSource::SelfL2 });
+                return Ok(AccessOutcome { done: t + self.costs.l2, source: DataSource::SelfL2 });
             }
         }
         // Shared hit or miss: needs ownership via the CA.
@@ -1902,20 +1882,20 @@ impl System {
         let node = self.topo.node_of_core(core);
         let local = self.topo.node_local_core(core);
         let slice = self.topo.slice_for_line(line, node);
-        let t_req = t + self.ns(self.cal.t_miss_path);
-        let t_at_ca = self.send::<TRACED>(t_req, Endpoint::Core(core), Endpoint::Slice(slice), self.cal.msg_ctl);
+        let t_req = t + self.costs.miss_path;
+        let t_at_ca = self.send::<TRACED>(t_req, Endpoint::Core(core), Endpoint::Slice(slice), self.costs.msg_ctl);
 
         let meta_snapshot = self.l3[slice.0 as usize].access(line).map(|m| *m);
         match ca_local_action(ReqType::Rfo, meta_snapshot.as_ref(), local) {
             CaAction::RfoHitOwned { invalidate_cv } => {
-                let mut t_ready = t_at_ca + self.ns(self.cal.t_l3_array);
+                let mut t_ready = t_at_ca + self.costs.l3_array;
                 if invalidate_cv != 0 {
                     t_ready = self.invalidate_local_cores::<TRACED>(node, line, invalidate_cv, t_at_ca, slice);
                 }
-                let t_data = self.l3_port[slice.0 as usize].transfer(t_ready, 64);
+                let t_data = self.l3_port[slice.0 as usize].transfer(t_ready, self.costs.l3_line);
                 let done = self
-                    .send::<TRACED>(t_data, Endpoint::Slice(slice), Endpoint::Core(core), self.cal.msg_data)
-                    + self.ns(self.cal.t_fill);
+                    .send::<TRACED>(t_data, Endpoint::Slice(slice), Endpoint::Core(core), self.costs.msg_data)
+                    + self.costs.fill;
                 if let Some(meta) = self.l3[slice.0 as usize].peek_mut(line) {
                     meta.state = MesifState::Modified;
                     meta.cv = 1 << local;
@@ -1928,7 +1908,7 @@ impl System {
                 let t_local = if invalidate_cv != 0 {
                     self.invalidate_local_cores::<TRACED>(node, line, invalidate_cv, t_at_ca, slice)
                 } else {
-                    t_at_ca + self.ns(self.cal.t_l3_tag)
+                    t_at_ca + self.costs.l3_tag
                 };
                 let done = self.global_invalidate::<TRACED>(core, line, t_local, slice, node, false);
                 if let Some(meta) = self.l3[slice.0 as usize].peek_mut(line) {
@@ -2014,15 +1994,15 @@ impl System {
             if cv & (1 << i) != 0 {
                 let c = self.topo.cores_of_node(node)[i];
                 self.stats.snoops_sent += 1;
-                let t_at = self.send::<TRACED>(t, Endpoint::Slice(slice), Endpoint::Core(c), self.cal.msg_ctl);
+                let t_at = self.send::<TRACED>(t, Endpoint::Slice(slice), Endpoint::Core(c), self.costs.msg_ctl);
                 let ci = c.0 as usize;
                 self.l1[ci].remove(line);
                 self.l2[ci].remove(line);
                 let t_ack = self.send::<TRACED>(
-                    t_at + self.ns(self.cal.t_probe),
+                    t_at + self.costs.probe,
                     Endpoint::Core(c),
                     Endpoint::Slice(slice),
-                    self.cal.msg_ctl,
+                    self.costs.msg_ctl,
                 );
                 self.span_leaf_with::<TRACED, _>("inv_core", "coherence", t_at, t_ack, || format!("core{}", c.0));
                 last = last.max(t_ack);
@@ -2059,7 +2039,7 @@ impl System {
                 continue;
             }
             self.stats.snoops_sent += 1;
-            let t_at = self.send::<TRACED>(t, Endpoint::Slice(slice), Endpoint::Slice(pslice), self.cal.msg_ctl);
+            let t_at = self.send::<TRACED>(t, Endpoint::Slice(slice), Endpoint::Slice(pslice), self.costs.msg_ctl);
             // Remove peer L3 + core copies.
             if let Some(meta) = self.l3[pslice.0 as usize].remove(line) {
                 let cores = self.topo.cores_of_node(peer);
@@ -2078,10 +2058,10 @@ impl System {
                 }
             }
             let t_ack = self.send::<TRACED>(
-                t_at + self.ns(self.cal.t_l3_tag),
+                t_at + self.costs.l3_tag,
                 Endpoint::Slice(pslice),
                 Endpoint::Slice(slice),
-                self.cal.msg_ctl,
+                self.costs.msg_ctl,
             );
             self.span_leaf_with::<TRACED, _>("inv_snoop", "coherence", t_at, t_ack, || format!("node{}", peer.0));
             last = last.max(t_ack);
@@ -2118,7 +2098,7 @@ impl System {
         let node = self.topo.node_of_core(core);
         let slice = self.topo.slice_for_line(line, node);
         // Invalidate other cached copies if the line is resident anywhere.
-        let mut t_wc = t + self.ns(self.cal.t_fill);
+        let mut t_wc = t + self.costs.fill;
         if let Some(meta) = self.l3[slice.0 as usize].peek(line).copied() {
             let cv = meta.cv & !(1u32 << self.topo.node_local_core(core));
             if cv != 0 {
@@ -2135,8 +2115,8 @@ impl System {
         self.span_leaf::<TRACED>("wc_drain", "mem", t_wc, t_accept);
         self.tap_span::<TRACED>("core.wc_drain_ps", t_wc, t_accept);
         let ha = self.topo.ha_for_line(line);
-        let t_at_ha = self.send::<TRACED>(t_accept, Endpoint::Core(core), Endpoint::Ha(ha), self.cal.msg_data);
-        let t_mem = t_at_ha + self.ns(self.cal.t_ha);
+        let t_at_ha = self.send::<TRACED>(t_accept, Endpoint::Core(core), Endpoint::Ha(ha), self.costs.msg_data);
+        let t_mem = t_at_ha + self.costs.ha;
         let (drained, _) = self.mem[ha.0 as usize].access(t_mem, line, true);
         self.span_leaf::<TRACED>("dram_row", "mem", t_mem, drained);
         self.tap_span::<TRACED>("dram.busy_ps", t_mem, drained);
@@ -2147,7 +2127,7 @@ impl System {
             self.hitme[ha.0 as usize].invalidate(line);
         }
         AccessOutcome {
-            done: t_accept + self.ns(self.cal.t_fill),
+            done: t_accept + self.costs.fill,
             source: DataSource::Memory(self.topo.home_node_of_line(line)),
         }
     }
@@ -2174,11 +2154,11 @@ impl System {
         let own_dirty = matches!(self.l1[ci].remove(line), Some(CoreState::Modified))
             | matches!(self.l2[ci].remove(line), Some(CoreState::Modified));
 
-        let t_req = t + self.ns(self.cal.t_miss_path);
-        let t_at_ca = self.send::<TRACED>(t_req, Endpoint::Core(core), Endpoint::Slice(slice), self.cal.msg_ctl);
+        let t_req = t + self.costs.miss_path;
+        let t_at_ca = self.send::<TRACED>(t_req, Endpoint::Core(core), Endpoint::Slice(slice), self.costs.msg_ctl);
         let local = self.topo.node_local_core(core);
 
-        let mut t_done = t_at_ca + self.ns(self.cal.t_l3_tag);
+        let mut t_done = t_at_ca + self.costs.l3_tag;
         let mut dirty = own_dirty;
         if let Some(meta) = self.l3[slice.0 as usize].remove(line) {
             // Invalidate other local cores.
@@ -2196,8 +2176,8 @@ impl System {
 
         // Write back + directory reset at home.
         let ha = self.topo.ha_for_line(line);
-        let t_at_ha = self.send::<TRACED>(t_done, Endpoint::Slice(slice), Endpoint::Ha(ha), self.cal.msg_ctl);
-        let mut t_home_done = t_at_ha + self.ns(self.cal.t_ha);
+        let t_at_ha = self.send::<TRACED>(t_done, Endpoint::Slice(slice), Endpoint::Ha(ha), self.costs.msg_ctl);
+        let mut t_home_done = t_at_ha + self.costs.ha;
         if dirty {
             let (dev_done, _) = self.mem[ha.0 as usize].access(t_home_done, line, true);
             self.stats.dram_writebacks += 1;
@@ -2207,7 +2187,7 @@ impl System {
             self.dir[ha.0 as usize].set(line, DirState::RemoteInvalid);
             self.hitme[ha.0 as usize].invalidate(line);
         }
-        self.send::<TRACED>(t_home_done, Endpoint::Ha(ha), Endpoint::Core(core), self.cal.msg_ctl)
+        self.send::<TRACED>(t_home_done, Endpoint::Ha(ha), Endpoint::Core(core), self.costs.msg_ctl)
     }
 
     // ------------------------------------------------------------------

@@ -6,8 +6,8 @@
 //! outcome-for-outcome identical continuations of any access sequence,
 //! including with snoop faults armed but not yet consumed.
 
-use hswx_engine::SimTime;
-use hswx_haswell::{Access, CoherenceMode, System, SystemConfig};
+use hswx_engine::{fnv1a64, SimTime};
+use hswx_haswell::{Access, CoherenceMode, System, SystemConfig, SYSTEM_SNAPSHOT_SCHEMA};
 use hswx_mem::{CoreId, LineAddr};
 use proptest::prelude::*;
 
@@ -78,6 +78,22 @@ fn state_digest_is_stable_and_sensitive() {
     assert_eq!(a.state_digest(), b.state_digest(), "identical runs agree");
     b.read(CoreId(0), LineAddr(999), SimTime::from_ns(1e6));
     assert_ne!(a.state_digest(), b.state_digest(), "extra state changes digest");
+}
+
+/// The frame of a freshly built system is pinned to the bytes it had when
+/// every cache allocated its slot arrays at construction: a never-filled
+/// cache must encode like an empty one.
+#[test]
+fn fresh_system_frame_is_pinned() {
+    assert_eq!(SYSTEM_SNAPSHOT_SCHEMA, 5);
+    for (mode, want) in [
+        (CoherenceMode::SourceSnoop, 0x34bd_add4_4057_57d6),
+        (CoherenceMode::HomeSnoop, 0x8938_2c40_2c76_f0bc),
+        (CoherenceMode::ClusterOnDie, 0xe2ff_781b_ec13_aad6),
+    ] {
+        let frame = System::new(SystemConfig::e5_2680_v3(mode)).snapshot();
+        assert_eq!(fnv1a64(&frame), want, "{mode:?}: {} bytes", frame.len());
+    }
 }
 
 proptest! {

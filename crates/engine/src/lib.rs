@@ -49,7 +49,7 @@ pub use cancel::CancelToken;
 pub use fsio::{atomic_write, fnv1a64, fnv1a64_extend};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use metrics::MetricsRegistry;
-pub use resource::{ThroughputResource, TimedPool};
+pub use resource::{Booking, ThroughputResource, TimedPool};
 pub use rng::DetRng;
 pub use snapshot::{SnapReader, SnapWriter, SnapshotError};
 pub use stats::{Counter, Histogram, OnlineStats};

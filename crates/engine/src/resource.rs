@@ -18,6 +18,26 @@ use crate::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
+/// A transfer size and the time it occupies a pipe of one rate.
+///
+/// Walks book a handful of fixed sizes (a 64-byte line, a QPI control or
+/// data message), so the owner converts each size once, when it builds
+/// its resources, and a booking adds integer picoseconds only.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct Booking {
+    /// Bytes moved.
+    pub bytes: u64,
+    /// Serialization time of `bytes` at the rate the booking was made for.
+    pub dur: SimDuration,
+}
+
+impl Booking {
+    /// `bytes` at `gb_s` GB/s: [`SimDuration::for_bytes`], evaluated once.
+    pub fn at_rate(bytes: u64, gb_s: f64) -> Self {
+        Booking { bytes, dur: SimDuration::for_bytes(bytes, gb_s) }
+    }
+}
+
 /// A serializing resource that moves bytes at a fixed rate.
 ///
 /// Reservations are **gap-fitting**: a transfer occupies the earliest free
@@ -63,18 +83,19 @@ impl ThroughputResource {
         }
     }
 
-    /// Reserve the pipe for `bytes` starting no earlier than `now`.
+    /// Reserve the pipe for `b` starting no earlier than `now`.
     ///
     /// Returns the completion time; the transfer occupies the earliest
-    /// gap of sufficient length starting at or after `now`.
-    pub fn transfer(&mut self, now: SimTime, bytes: u64) -> SimTime {
-        self.transfer_with_wait(now, bytes).0
+    /// gap of sufficient length starting at or after `now`. `b` must have
+    /// been made at this resource's rate.
+    pub fn transfer(&mut self, now: SimTime, b: Booking) -> SimTime {
+        self.transfer_with_wait(now, b).0
     }
 
     /// Like [`transfer`](Self::transfer) but also returns the queueing delay
     /// experienced (`start - now`).
-    pub fn transfer_with_wait(&mut self, now: SimTime, bytes: u64) -> (SimTime, SimDuration) {
-        let dur = SimDuration::for_bytes(bytes, self.rate_gb_s);
+    pub fn transfer_with_wait(&mut self, now: SimTime, b: Booking) -> (SimTime, SimDuration) {
+        let Booking { bytes, dur } = b;
         // Monotone fast path: a booking at or after the end of the last
         // interval lands past every existing reservation, so the binary
         // search finds `len`, the gap scan never runs, and the insert is an
@@ -145,78 +166,6 @@ impl ThroughputResource {
         self.busy += dur;
         self.bytes += bytes;
         (SimTime(end), SimTime(start).since(now))
-    }
-
-    /// Book a whole batch of transfers in one pass.
-    ///
-    /// Completion times are appended to `out`, one per request, exactly as
-    /// if each `(at, bytes)` had been passed to [`transfer`](Self::transfer)
-    /// in order. Runs of monotone requests (each starting at or after the
-    /// previous booking's end) are merged locally and written to the
-    /// interval deque as a handful of coalesced spans instead of one
-    /// insertion per request; requests that land before the current tail
-    /// fall back to the gap-fitting scan for that element only, so results
-    /// stay bit-identical to the sequential path for arbitrary inputs.
-    pub fn transfer_batch(&mut self, reqs: &[(SimTime, u64)], out: &mut Vec<SimTime>) {
-        out.reserve(reqs.len());
-        // Pending run of already-merged bookings not yet in the deque.
-        let mut run: Option<(u64, u64)> = None;
-        let mut run_busy = 0u64;
-        let mut run_bytes = 0u64;
-        for &(at, bytes) in reqs {
-            let dur = SimDuration::for_bytes(bytes, self.rate_gb_s);
-            let tail = run
-                .map(|(_, e)| e)
-                .or_else(|| self.intervals.back().map(|&(_, e)| e));
-            match tail {
-                Some(tail_end) if at.0 < tail_end => {
-                    // Out-of-order element: flush the pending run so the
-                    // gap-fitting scan sees the true schedule, then book
-                    // this one through the scalar path.
-                    if let Some((s, e)) = run.take() {
-                        self.push_span(s, e, run_busy, run_bytes);
-                        run_busy = 0;
-                        run_bytes = 0;
-                    }
-                    out.push(self.transfer(at, bytes));
-                }
-                _ => {
-                    let end = at.0 + dur.0;
-                    match run {
-                        Some((_, ref mut e)) if *e == at.0 => *e = end,
-                        Some((s, e)) => {
-                            self.push_span(s, e, run_busy, run_bytes);
-                            run_busy = 0;
-                            run_bytes = 0;
-                            run = Some((at.0, end));
-                        }
-                        None => run = Some((at.0, end)),
-                    }
-                    run_busy += dur.0;
-                    run_bytes += bytes;
-                    out.push(SimTime(end));
-                }
-            }
-        }
-        if let Some((s, e)) = run {
-            self.push_span(s, e, run_busy, run_bytes);
-        }
-    }
-
-    /// Append one already-merged span at the tail (it must start at or
-    /// after the last interval's end), with its accounting.
-    fn push_span(&mut self, s: u64, e: u64, busy: u64, bytes: u64) {
-        match self.intervals.back_mut() {
-            Some(&mut (_, ref mut last_end)) if *last_end == s => *last_end = e,
-            _ => {
-                self.intervals.push_back((s, e));
-                while self.intervals.len() > Self::MAX_INTERVALS {
-                    self.intervals.pop_front();
-                }
-            }
-        }
-        self.busy += SimDuration(busy);
-        self.bytes += bytes;
     }
 
     /// Merge the interval at `idx` with touching neighbours.
@@ -467,12 +416,17 @@ impl ThroughputResource {
 mod tests {
     use super::*;
 
+    /// A 64-byte line at 10 GB/s: 6.4 ns.
+    fn line() -> Booking {
+        Booking::at_rate(64, 10.0)
+    }
+
     #[test]
     fn transfers_serialize() {
         let mut r = ThroughputResource::new(10.0); // 10 GB/s: 64 B = 6.4 ns
         let t0 = SimTime::ZERO;
-        let f1 = r.transfer(t0, 64);
-        let f2 = r.transfer(t0, 64);
+        let f1 = r.transfer(t0, line());
+        let f2 = r.transfer(t0, line());
         assert_eq!(f1, SimTime(6_400));
         assert_eq!(f2, SimTime(12_800));
     }
@@ -480,8 +434,8 @@ mod tests {
     #[test]
     fn idle_gap_is_not_busy() {
         let mut r = ThroughputResource::new(10.0);
-        r.transfer(SimTime(0), 64);
-        r.transfer(SimTime(100_000), 64);
+        r.transfer(SimTime(0), line());
+        r.transfer(SimTime(100_000), line());
         // 12.8 ns busy over 106.4 ns
         let u = r.utilization(SimTime(106_400));
         assert!((u - 12_800.0 / 106_400.0).abs() < 1e-9);
@@ -490,8 +444,8 @@ mod tests {
     #[test]
     fn transfer_with_wait_reports_queueing() {
         let mut r = ThroughputResource::new(10.0);
-        r.transfer(SimTime::ZERO, 64);
-        let (_, wait) = r.transfer_with_wait(SimTime(1_000), 64);
+        r.transfer(SimTime::ZERO, line());
+        let (_, wait) = r.transfer_with_wait(SimTime(1_000), line());
         assert_eq!(wait, SimDuration(5_400));
     }
 
@@ -501,7 +455,7 @@ mod tests {
         let mut r = ThroughputResource::new(38.4);
         let mut now = SimTime::ZERO;
         while now.0 < 1_000_000 {
-            now = r.transfer(now, 64);
+            now = r.transfer(now, Booking::at_rate(64, 38.4));
         }
         let gbs = r.total_bytes() as f64 / now.as_secs() / 1e9;
         assert!((gbs - 38.4).abs() < 0.5, "{gbs}");
@@ -511,16 +465,16 @@ mod tests {
     fn gap_fit_lets_earlier_work_slip_in() {
         let mut r = ThroughputResource::new(10.0); // 64 B = 6.4 ns
         // A writeback reserved far in the future...
-        let f1 = r.transfer(SimTime(100_000), 64);
+        let f1 = r.transfer(SimTime(100_000), line());
         assert_eq!(f1, SimTime(106_400));
         // ...must not delay a demand read at an earlier time.
-        let f2 = r.transfer(SimTime(1_000), 64);
+        let f2 = r.transfer(SimTime(1_000), line());
         assert_eq!(f2, SimTime(7_400));
         // A transfer that does not fit before the future blob goes after it.
-        let f3 = r.transfer(SimTime(99_000), 64);
+        let f3 = r.transfer(SimTime(99_000), line());
         assert_eq!(f3, SimTime(112_800));
         // But one that fits into the remaining gap still slips in.
-        let f4 = r.transfer(SimTime(93_000), 64);
+        let f4 = r.transfer(SimTime(93_000), line());
         assert_eq!(f4, SimTime(99_400));
     }
 
@@ -528,7 +482,7 @@ mod tests {
     fn gap_fit_coalesces_intervals() {
         let mut r = ThroughputResource::new(10.0);
         for _ in 0..100 {
-            r.transfer(SimTime::ZERO, 64);
+            r.transfer(SimTime::ZERO, line());
         }
         // Back-to-back reservations merge into one busy blob.
         assert_eq!(r.next_free(), SimTime(640_000));
@@ -575,7 +529,7 @@ mod tests {
     #[test]
     fn reset_clears_accounting() {
         let mut r = ThroughputResource::new(1.0);
-        r.transfer(SimTime::ZERO, 1000);
+        r.transfer(SimTime::ZERO, Booking::at_rate(1000, 1.0));
         r.reset();
         assert_eq!(r.total_bytes(), 0);
         assert_eq!(r.next_free(), SimTime::ZERO);
@@ -599,7 +553,7 @@ mod proptests {
             let mut total_dur = SimDuration::ZERO;
             for &(at, bytes) in &ops {
                 let dur = SimDuration::for_bytes(bytes, 5.0);
-                let (f, wait) = r.transfer_with_wait(SimTime(at), bytes);
+                let (f, wait) = r.transfer_with_wait(SimTime(at), Booking::at_rate(bytes, 5.0));
                 prop_assert!(f.0 >= at + dur.0);
                 prop_assert_eq!(f.0 - dur.0 - wait.0, at, "start = now + wait");
                 total_dur += dur;
@@ -617,7 +571,7 @@ mod proptests {
             let mut r = ThroughputResource::new(5.0);
             let mut last = SimTime::ZERO;
             for &(at, bytes) in &ops {
-                let f = r.transfer(SimTime(at), bytes);
+                let f = r.transfer(SimTime(at), Booking::at_rate(bytes, 5.0));
                 prop_assert!(f >= last);
                 last = f;
             }
@@ -660,7 +614,7 @@ mod proptests {
             let mut fast = ThroughputResource::new(5.0);
             let mut slow = ThroughputResource::new(5.0);
             for &(at, bytes) in &ops {
-                let f = fast.transfer(SimTime(at), bytes);
+                let f = fast.transfer(SimTime(at), Booking::at_rate(bytes, 5.0));
                 let s = slow.transfer_reference(SimTime(at), bytes);
                 prop_assert_eq!(f, s);
             }
@@ -680,58 +634,11 @@ mod proptests {
             let mut t = 0u64;
             for &g in &gaps {
                 t += g;
-                let f = fast.transfer(SimTime(t), 64);
+                let f = fast.transfer(SimTime(t), Booking::at_rate(64, 5.0));
                 let s = slow.transfer_reference(SimTime(t), 64);
                 prop_assert_eq!(f, s);
             }
             prop_assert_eq!(fast.state_tuple(), slow.state_tuple());
-        }
-
-        /// `transfer_batch` produces the same completions and the same
-        /// final resource state as booking each request through
-        /// `transfer` one at a time.
-        #[test]
-        fn batch_matches_sequential(
-            ops in proptest::collection::vec((0u64..50_000, 1u64..512), 1..200),
-            split in 0usize..200,
-        ) {
-            let mut seq = ThroughputResource::new(5.0);
-            let mut expect = Vec::new();
-            for &(at, bytes) in &ops {
-                expect.push(seq.transfer(SimTime(at), bytes));
-            }
-            // Book the same requests as two batch calls at an arbitrary
-            // split point (exercises run flushing at the boundary).
-            let reqs: Vec<(SimTime, u64)> =
-                ops.iter().map(|&(at, b)| (SimTime(at), b)).collect();
-            let cut = split.min(reqs.len());
-            let mut bat = ThroughputResource::new(5.0);
-            let mut got = Vec::new();
-            bat.transfer_batch(&reqs[..cut], &mut got);
-            bat.transfer_batch(&reqs[cut..], &mut got);
-            prop_assert_eq!(got, expect);
-            prop_assert_eq!(bat.state_tuple(), seq.state_tuple());
-        }
-
-        /// Sorted (monotone) batches also match — this is the fully merged
-        /// one-span-per-run regime the batch walk engine relies on.
-        #[test]
-        fn monotone_batch_matches_sequential(
-            mut ops in proptest::collection::vec((0u64..50_000, 1u64..512), 1..200)
-        ) {
-            ops.sort_by_key(|&(at, _)| at);
-            let mut seq = ThroughputResource::new(5.0);
-            let mut expect = Vec::new();
-            for &(at, bytes) in &ops {
-                expect.push(seq.transfer(SimTime(at), bytes));
-            }
-            let reqs: Vec<(SimTime, u64)> =
-                ops.iter().map(|&(at, b)| (SimTime(at), b)).collect();
-            let mut bat = ThroughputResource::new(5.0);
-            let mut got = Vec::new();
-            bat.transfer_batch(&reqs, &mut got);
-            prop_assert_eq!(got, expect);
-            prop_assert_eq!(bat.state_tuple(), seq.state_tuple());
         }
     }
 }

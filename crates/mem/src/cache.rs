@@ -17,6 +17,15 @@
 //! victim choice under every policy — including the slot-indexed Random
 //! policy — is bit-identical to the original implementation (proved by the
 //! differential proptests against the retained [`reference`] oracle).
+//!
+//! Only the per-set arrays (occupancy, PLRU bits) exist from construction.
+//! The per-slot arrays (tags, LRU ticks, payloads) are allocated by the
+//! first [`insert`](SetAssocCache::insert): a simulated system owns
+//! megabytes of slots, most runs fill a fraction of its caches, and
+//! writing every empty payload slot up front dominated building one.
+//! An empty set is answered from its zero occupancy alone, so a cache
+//! that was never filled behaves and encodes exactly like a filled one
+//! that was emptied.
 
 use crate::addr::LineAddr;
 use crate::geometry::CacheGeometry;
@@ -71,7 +80,8 @@ fn probe_mask(tags: &[u64], tag: u64) -> u32 {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SetAssocCache<S> {
     /// Packed tags, `ways`-strided; slots `[set*ways, set*ways+occ[set])`
-    /// are valid. This is the only array touched by a miss probe.
+    /// are valid. This is the only array touched by a miss probe. Empty
+    /// until the first insert, like `lru` and `states`.
     tags: Vec<u64>,
     /// LRU ticks, parallel to `tags`.
     lru: Vec<u64>,
@@ -103,13 +113,10 @@ impl<S> SetAssocCache<S> {
     pub fn with_policy(geom: CacheGeometry, policy: Replacement) -> Self {
         let n_sets = geom.sets() as usize;
         let ways = geom.ways as usize;
-        let slots = n_sets * ways;
-        let mut states = Vec::new();
-        states.resize_with(slots, || None);
         SetAssocCache {
-            tags: vec![0; slots],
-            lru: vec![0; slots],
-            states,
+            tags: Vec::new(),
+            lru: Vec::new(),
+            states: Vec::new(),
             occ: vec![0; n_sets],
             plru: vec![0; n_sets],
             n_sets,
@@ -129,6 +136,13 @@ impl<S> SetAssocCache<S> {
     /// The configured replacement policy.
     pub fn policy(&self) -> Replacement {
         self.policy
+    }
+
+    /// Zeroed tags and LRU ticks and empty payloads for `slots` slots.
+    fn slot_arrays(slots: usize) -> (Vec<u64>, Vec<u64>, Vec<Option<S>>) {
+        let mut states = Vec::new();
+        states.resize_with(slots, || None);
+        (vec![0; slots], vec![0; slots], states)
     }
 
     /// Walk the PLRU tree of `set` away from the way that was just
@@ -251,8 +265,12 @@ impl<S> SetAssocCache<S> {
     /// ([`Self::find_scalar`], the differential reference) returns.
     #[inline]
     fn find(&self, set: usize, tag: u64) -> Option<usize> {
-        let base = set * self.ways;
         let occ = self.occ[set] as usize;
+        if occ == 0 {
+            // Also the only answer before the slot arrays exist.
+            return None;
+        }
+        let base = set * self.ways;
         let mask = probe_mask(&self.tags[base..base + occ], tag);
         if mask == 0 {
             None
@@ -267,6 +285,9 @@ impl<S> SetAssocCache<S> {
     fn find_scalar(&self, set: usize, tag: u64) -> Option<usize> {
         let base = set * self.ways;
         let occ = self.occ[set] as usize;
+        if occ == 0 {
+            return None;
+        }
         self.tags[base..base + occ]
             .iter()
             .position(|&t| t == tag)
@@ -282,9 +303,13 @@ impl<S> SetAssocCache<S> {
     /// staging pass issues these across independent pending walks: a
     /// long-walk set probe is otherwise a dependent chain of cold host
     /// loads over ~24 slice-sized arrays, and overlapping those misses is
-    /// where most of the batch throughput comes from.
+    /// where most of the batch throughput comes from. A cache that was
+    /// never filled has nothing to prefetch.
     #[inline]
     pub fn prefetch_set(&self, line: LineAddr) {
+        if self.tags.is_empty() {
+            return;
+        }
         #[cfg(target_arch = "x86_64")]
         {
             use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
@@ -374,6 +399,9 @@ impl<S> SetAssocCache<S> {
         }
         let occ = self.occ[s] as usize;
         if occ < self.ways {
+            if self.tags.is_empty() {
+                (self.tags, self.lru, self.states) = Self::slot_arrays(self.capacity());
+            }
             let idx = base + occ;
             self.tags[idx] = line.0;
             self.lru[idx] = tick;
@@ -507,11 +535,8 @@ impl<S> SetAssocCache<S> {
         let tick = r.u64()?;
         let rng_state = r.u64()?;
         // Decode into scratch first so a corrupt frame leaves `self` intact.
-        let slots = self.n_sets * self.ways;
-        let mut tags = vec![0u64; slots];
-        let mut lru = vec![0u64; slots];
-        let mut states: Vec<Option<S>> = Vec::new();
-        states.resize_with(slots, || None);
+        // The slot arrays stay unallocated unless some set is occupied.
+        let (mut tags, mut lru, mut states) = (Vec::new(), Vec::new(), Vec::new());
         let mut occ = vec![0u16; self.n_sets];
         let mut plru = vec![0u32; self.n_sets];
         let mut len = 0usize;
@@ -525,6 +550,9 @@ impl<S> SetAssocCache<S> {
                 });
             }
             occ[s] = set_occ;
+            if set_occ > 0 && tags.is_empty() {
+                (tags, lru, states) = Self::slot_arrays(self.capacity());
+            }
             let base = s * self.ways;
             for idx in base..base + set_occ as usize {
                 tags[idx] = r.u64()?;
@@ -1215,6 +1243,7 @@ mod proptests {
         fn bit_identical_to_nested_vec_reference(
             policy_sel in 0u8..3,
             ways_sel in 0u8..4,
+            cold in 0usize..6,
             ops in proptest::collection::vec((0u64..64, 0u8..8), 1..600)
         ) {
             let policy = [Replacement::Lru, Replacement::TreePlru, Replacement::Random]
@@ -1224,6 +1253,44 @@ mod proptests {
             let geom = CacheGeometry::new(4 * ways as u64 * 64, ways);
             let mut new: SetAssocCache<u32> = SetAssocCache::with_policy(geom, policy);
             let mut old: RefSetAssocCache<u32> = RefSetAssocCache::with_policy(geom, policy);
+            // Before the first insert the slot arrays do not exist: every
+            // path that reads or removes must still match the reference.
+            for &(line, _) in ops.iter().take(cold) {
+                let la = LineAddr(line);
+                new.prefetch_set(la);
+                prop_assert_eq!(new.peek(la), old.peek(la), "cold peek {}", line);
+                prop_assert_eq!(new.contains(la), old.contains(la));
+                prop_assert_eq!(new.remove(la), old.remove(la), "cold remove {}", line);
+                prop_assert_eq!(new.victim_for(la), old.victim_for(la));
+                let a = new.access(la).map(|s| *s);
+                prop_assert_eq!(a, old.access(la).map(|s| *s), "cold access {}", line);
+                prop_assert_eq!(new.iter().count(), 0);
+            }
+            if cold > 0 {
+                prop_assert!(new.tags.is_empty(), "no slot array before the first insert");
+                // A never-filled cache encodes as every empty cache did
+                // when the arrays were built eagerly: the header, then a
+                // zero PLRU word and zero occupancy per set.
+                let mut got = SnapWriter::new(1);
+                new.encode_snapshot(&mut got, |&v| v as u64);
+                let mut want = SnapWriter::new(1);
+                for word in [4, ways as u64, new.tick, new.rng_state] {
+                    want.u64(word);
+                }
+                for _ in 0..4 {
+                    want.u32(0);
+                    want.u16(0);
+                }
+                let frame = got.finish();
+                prop_assert_eq!(&frame, &want.finish());
+                // Restoring it leaves the arrays unallocated and the
+                // differential below runs on the restored copy.
+                let mut restored: SetAssocCache<u32> = SetAssocCache::with_policy(geom, policy);
+                let mut r = SnapReader::open_expecting(&frame, 1).unwrap();
+                restored.decode_snapshot(&mut r, |v| u32::try_from(v).ok()).unwrap();
+                prop_assert!(restored.tags.is_empty());
+                new = restored;
+            }
             for (i, &(line, op)) in ops.iter().enumerate() {
                 let la = LineAddr(line);
                 let v = i as u32;

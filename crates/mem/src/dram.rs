@@ -11,7 +11,7 @@
 
 use crate::addr::LineAddr;
 use hswx_engine::snapshot::{SnapReader, SnapWriter, SnapshotError};
-use hswx_engine::{SimDuration, SimTime, ThroughputResource};
+use hswx_engine::{Booking, SimDuration, SimTime, ThroughputResource};
 use serde::{Deserialize, Serialize};
 
 /// DDR4 device timing parameters (defaults: DDR4-2133, CL15-15-15).
@@ -87,10 +87,46 @@ struct Bank {
     busy_until: SimTime,
 }
 
+/// [`DdrTimings`] in picoseconds, converted once per channel from the
+/// same f64 expressions an access would otherwise evaluate every time.
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+struct DramSteps {
+    /// Delay before the column command, indexed by [`RowOutcome`]: none
+    /// for a hit, RCD for a closed bank, RP + RCD (summed in ns) for a
+    /// conflict.
+    pre_cas: [SimDuration; 3],
+    cas: SimDuration,
+    burst: SimDuration,
+    wr: SimDuration,
+    /// One 64-byte line on the data bus.
+    line: Booking,
+    /// `(tREFI, tRFC)` in ps, when refresh is enabled.
+    refresh: Option<(u64, u64)>,
+}
+
+impl DramSteps {
+    fn new(t: &DdrTimings) -> Self {
+        DramSteps {
+            pre_cas: [
+                SimDuration::from_ns(0.0),
+                SimDuration::from_ns(t.t_rcd),
+                SimDuration::from_ns(t.t_rp + t.t_rcd),
+            ],
+            cas: SimDuration::from_ns(t.t_cas),
+            burst: SimDuration::from_ns(t.t_burst),
+            wr: SimDuration::from_ns(t.t_wr),
+            line: Booking::at_rate(64, t.bus_gb_s),
+            refresh: (t.t_refi > 0.0)
+                .then(|| (SimDuration::from_ns(t.t_refi).0, SimDuration::from_ns(t.t_rfc).0)),
+        }
+    }
+}
+
 /// One DDR4 channel: banks plus a shared data bus.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DramChannel {
     timings: DdrTimings,
+    steps: DramSteps,
     banks: Vec<Bank>,
     bus: ThroughputResource,
     pub hits: u64,
@@ -108,6 +144,7 @@ impl DramChannel {
                 .map(|_| Bank { open_row: None, busy_until: SimTime::ZERO })
                 .collect(),
             bus: ThroughputResource::new(timings.bus_gb_s),
+            steps: DramSteps::new(&timings),
             timings,
             hits: 0,
             closed: 0,
@@ -136,11 +173,9 @@ impl DramChannel {
 
     /// Push `t` past any refresh window it lands in (when refresh enabled).
     fn after_refresh(&self, t: SimTime) -> SimTime {
-        if self.timings.t_refi <= 0.0 {
+        let Some((refi, rfc)) = self.steps.refresh else {
             return t;
-        }
-        let refi = SimDuration::from_ns(self.timings.t_refi).0;
-        let rfc = SimDuration::from_ns(self.timings.t_rfc).0;
+        };
         let into = t.0 % refi;
         if into < rfc {
             SimTime(t.0 - into + rfc)
@@ -154,14 +189,14 @@ impl DramChannel {
     /// Returns the data-available time and the row-buffer outcome.
     pub fn access(&mut self, now: SimTime, line: LineAddr, is_write: bool) -> (SimTime, RowOutcome) {
         let (bank_idx, row) = self.decode(line);
-        let t = &self.timings;
+        let t = self.steps;
         let bank = &self.banks[bank_idx];
         let start = self.after_refresh(now.max(bank.busy_until));
 
-        let (outcome, pre_cas_ns) = match bank.open_row {
-            Some(r) if r == row => (RowOutcome::Hit, 0.0),
-            None => (RowOutcome::Closed, t.t_rcd),
-            Some(_) => (RowOutcome::Conflict, t.t_rp + t.t_rcd),
+        let outcome = match bank.open_row {
+            Some(r) if r == row => RowOutcome::Hit,
+            None => RowOutcome::Closed,
+            Some(_) => RowOutcome::Conflict,
         };
         match outcome {
             RowOutcome::Hit => self.hits += 1,
@@ -174,16 +209,16 @@ impl DramChannel {
             self.reads += 1;
         }
 
-        let cas_issued = start + SimDuration::from_ns(pre_cas_ns);
+        let cas_issued = start + t.pre_cas[outcome as usize];
         // The burst occupies the shared channel bus; data arrives a CAS
         // latency after the column command.
-        let data_done = self.bus.transfer(cas_issued + SimDuration::from_ns(t.t_cas), 64);
+        let data_done = self.bus.transfer(cas_issued + t.cas, t.line);
         // The bank can accept its next column command one burst slot after
         // this one (tCCD chaining); it does not hold the bank for the full
         // CAS latency. Writes add write recovery.
-        let mut busy = cas_issued + SimDuration::from_ns(t.t_burst);
+        let mut busy = cas_issued + t.burst;
         if is_write {
-            busy += SimDuration::from_ns(t.t_wr);
+            busy += t.wr;
         }
         let bank = &mut self.banks[bank_idx];
         bank.open_row = Some(row);
@@ -547,6 +582,25 @@ mod tests {
             );
         }
         assert_eq!(a.totals(), b.totals());
+    }
+
+    #[test]
+    fn steps_equal_the_ns_expressions_they_replace() {
+        let ns = SimDuration::from_ns;
+        // The last timing set has half-picosecond RP and RCD, so rounding
+        // each before summing would be off by one picosecond.
+        let half_ps = DdrTimings { t_rp: 14.0625, t_rcd: 14.0625, ..DdrTimings::ddr4_2133() };
+        for t in [DdrTimings::ddr4_2133(), DdrTimings::ddr4_2133().with_refresh(), half_ps] {
+            let s = DramChannel::new(t).steps;
+            assert_eq!(s.pre_cas, [ns(0.0), ns(t.t_rcd), ns(t.t_rp + t.t_rcd)]);
+            assert_eq!(s.cas, ns(t.t_cas));
+            assert_eq!(s.burst, ns(t.t_burst));
+            assert_eq!(s.wr, ns(t.t_wr));
+            assert_eq!(s.line, Booking { bytes: 64, dur: SimDuration::for_bytes(64, t.bus_gb_s) });
+            let refresh = (t.t_refi > 0.0).then(|| (ns(t.t_refi).0, ns(t.t_rfc).0));
+            assert_eq!(s.refresh, refresh);
+        }
+        assert_ne!(ns(half_ps.t_rp + half_ps.t_rcd), ns(half_ps.t_rp) + ns(half_ps.t_rcd));
     }
 
     #[test]

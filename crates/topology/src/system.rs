@@ -295,19 +295,39 @@ impl SystemTopology {
 
     // ---- distances ----
 
-    fn endpoint_location(&self, e: Endpoint) -> (SocketId, Stop) {
-        match e {
-            Endpoint::Core(c) => (
-                self.socket_of_core(c),
-                Stop::CoreSlice(self.local_core(c)),
-            ),
+    /// Ring stops per die: every core/slice stop, both IMCs, the QPI stop.
+    pub fn n_stops(&self) -> usize {
+        self.n_stops
+    }
+
+    /// Where `e` sits: its socket and its stop index (below
+    /// [`n_stops`](Self::n_stops)), the coordinates of
+    /// [`stop_distance`](Self::stop_distance).
+    pub fn locate(&self, e: Endpoint) -> (SocketId, usize) {
+        let (socket, stop) = match e {
+            Endpoint::Core(c) => (self.socket_of_core(c), Stop::CoreSlice(self.local_core(c))),
             Endpoint::Slice(s) => (
                 self.socket_of_core(CoreId(s.0)),
                 Stop::CoreSlice(s.0 % self.cores_per_die),
             ),
             Endpoint::Ha(h) => (SocketId(h.0 / 2), Stop::Imc(h.0 % 2)),
             Endpoint::Qpi(s) => (s, Stop::Qpi),
+        };
+        (socket, self.stop_index(stop))
+    }
+
+    /// Distance between stop indices `a` and `b`, on one die or, with
+    /// `cross_socket`, on two different dies. All dies are identical and
+    /// fully connected, so a cross-socket path is the same two legs and one
+    /// QPI crossing whichever two sockets it joins.
+    pub fn stop_distance(&self, a: usize, b: usize, cross_socket: bool) -> Distance {
+        if !cross_socket {
+            return self.stop_dist[a * self.n_stops + b];
         }
+        let qpi = self.cores_per_die as usize + 2;
+        let to_qpi = self.stop_dist[a * self.n_stops + qpi];
+        let from_qpi = self.stop_dist[qpi * self.n_stops + b];
+        to_qpi.plus(from_qpi).plus(Distance { ring_hops: 0, queues: 0, qpi: 1 })
     }
 
     /// Structural distance between two endpoints, crossing QPI if they sit
@@ -315,17 +335,9 @@ impl SystemTopology {
     /// and the per-die legs of a QPI crossing come from one precomputed
     /// stop-distance table.
     pub fn distance(&self, a: Endpoint, b: Endpoint) -> Distance {
-        let (sa, stop_a) = self.endpoint_location(a);
-        let (sb, stop_b) = self.endpoint_location(b);
-        let ia = self.stop_index(stop_a);
-        let ib = self.stop_index(stop_b);
-        if sa == sb {
-            return self.stop_dist[ia * self.n_stops + ib];
-        }
-        let qpi = self.cores_per_die as usize + 2;
-        let to_qpi = self.stop_dist[ia * self.n_stops + qpi];
-        let from_qpi = self.stop_dist[qpi * self.n_stops + ib];
-        to_qpi.plus(from_qpi).plus(Distance { ring_hops: 0, queues: 0, qpi: 1 })
+        let (sa, ia) = self.locate(a);
+        let (sb, ib) = self.locate(b);
+        self.stop_distance(ia, ib, sa != sb)
     }
 
     /// The paper's "hop count" between two nodes: 0 = same node,

@@ -136,6 +136,8 @@ pub fn run_proxy(app: &AppProxy, mode: CoherenceMode, accesses: usize, seed: u64
         }
     }
 
+    // Compute time between one thread's accesses.
+    let comp_gap = SimDuration::from_ns(app.comp_ns.max(0.4));
     // Interleave threads in global time order.
     loop {
         let mut best: Option<(usize, SimTime)> = None;
@@ -159,7 +161,7 @@ pub fn run_proxy(app: &AppProxy, mode: CoherenceMode, accesses: usize, seed: u64
             sys.read(th.core, line, slot)
         };
         th.window.occupy_until(out.done);
-        th.issue_t = slot + SimDuration::from_ns(app.comp_ns.max(0.4));
+        th.issue_t = slot + comp_gap;
         th.done = th.done.max(out.done);
         if th.remaining > 0 {
             let (l, w) = th.draw_next(app, &shared);
