@@ -953,7 +953,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "trace")]
     fn telemetry_flows_into_journal_manifest_and_summary() {
         let dir = tmp_dir("telemetry");
         let mut cfg = cfg_for(&dir);

@@ -1,13 +1,14 @@
 //! Subcommand implementations.
 
 use crate::args::Flags;
-use hswx_engine::SimTime;
+use hswx_bench::scenarios::{LatencyScenario, PreparedScenario};
+use hswx_engine::{SimTime, SpanRecorder};
 use hswx_verify::{run_campaign, FaultPlan};
 use hswx_haswell::microbench::{
     pointer_chase, stream_read, stream_write, stream_write_nt, Buffer, LoadWidth,
 };
 use hswx_haswell::placement::{Level, PlacedState, Placement};
-use hswx_haswell::{CoherenceMode, System, SystemConfig};
+use hswx_haswell::{AccessOutcome, CoherenceMode, System, SystemConfig};
 use hswx_mem::{CoreId, NodeId};
 
 /// Top-level usage text.
@@ -219,9 +220,7 @@ pub fn bandwidth(argv: &[String]) -> Result<(), String> {
 /// recorded as causally-ordered span trees. Writes Chrome/Perfetto
 /// trace-event JSON to `--out` and prints a terminal waterfall plus the
 /// exact per-component latency attribution of the final access.
-#[cfg(feature = "trace")]
 pub fn trace(argv: &[String]) -> Result<(), String> {
-    use hswx_bench::scenarios::LatencyScenario;
     let flags = Flags::parse(argv, &[SCENARIO_FLAGS, &["size", "accesses", "out"]].concat(), &[])?;
     let mode = mode_of(&flags)?;
     let level = level_of(&flags)?;
@@ -235,24 +234,8 @@ pub fn trace(argv: &[String]) -> Result<(), String> {
 
     let scenario =
         LatencyScenario { mode, placers, state, level, home, measurer, size: Some(size) };
-    let mut p = scenario.prepare();
-    p.sys.attach_tracer(hswx_engine::SpanRecorder::with_capacity(1 << 16));
-    let mut t = p.t;
-    for line in p.lines.iter().cycle().take(accesses) {
-        t = p.sys.read(p.measurer, *line, t).done;
-    }
-    let rec = p
-        .sys
-        .take_tracer()
-        .ok_or("internal: span tracer detached during the scenario")?;
-    for w in rec.walks() {
-        rec.validate_walk(w).map_err(|e| format!("internal: malformed span tree: {e}"))?;
-    }
-    let json = rec.chrome_json();
-    hswx_engine::trace::validate_trace_json(&json)
-        .map_err(|e| format!("internal: trace JSON failed validation: {e}"))?;
-    hswx_engine::atomic_write(std::path::Path::new(&out_path), json.as_bytes(), false)
-        .map_err(|e| format!("{out_path}: {e}"))?;
+    let (_, _, rec) = traced_reads(&scenario, 1 << 16, accesses)?;
+    write_trace_json(&rec, std::path::Path::new(&out_path))?;
 
     let walk = rec.last_walk().ok_or("no walk recorded")?;
     println!(
@@ -265,19 +248,43 @@ pub fn trace(argv: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Stub when the binary is built without the `trace` feature.
-#[cfg(not(feature = "trace"))]
-pub fn trace(_argv: &[String]) -> Result<(), String> {
-    Err("this binary was built without the `trace` feature; \
-         rebuild with default features to use `hswx trace`"
-        .into())
+/// Place `scenario` untraced, then issue `reads` back-to-back reads of its
+/// lines (cycling) with a span tracer of `capacity` spans attached.
+/// Returns the placed scenario, the first read's outcome and the
+/// recorder, every walk of which is checked to be a well-formed tree.
+fn traced_reads(
+    scenario: &LatencyScenario,
+    capacity: usize,
+    reads: usize,
+) -> Result<(PreparedScenario, AccessOutcome, SpanRecorder), String> {
+    let mut p = scenario.prepare();
+    p.sys.attach_tracer(SpanRecorder::with_capacity(capacity));
+    let (mut t, mut first) = (p.t, None);
+    for line in p.lines.iter().cycle().take(reads) {
+        let out = p.sys.read(p.measurer, *line, t);
+        first.get_or_insert(out);
+        t = out.done;
+    }
+    let rec = p.sys.take_tracer().ok_or("internal: span tracer detached during the scenario")?;
+    for w in rec.walks() {
+        rec.validate_walk(w).map_err(|e| format!("internal: malformed span tree: {e}"))?;
+    }
+    Ok((p, first.ok_or("no walk recorded")?, rec))
+}
+
+/// Validate `rec`'s Chrome trace-event JSON and write it to `path`.
+fn write_trace_json(rec: &SpanRecorder, path: &std::path::Path) -> Result<(), String> {
+    let json = rec.chrome_json();
+    hswx_engine::trace::validate_trace_json(&json)
+        .map_err(|e| format!("internal: trace JSON failed validation: {e}"))?;
+    hswx_engine::atomic_write(path, json.as_bytes(), false)
+        .map_err(|e| format!("{}: {e}", path.display()))
 }
 
 /// Print the exact latency attribution of one walk: every row is the
 /// simulated time charged to the innermost span covering it, and the
 /// rows sum to the reported latency to the picosecond (checked here).
-#[cfg(feature = "trace")]
-fn print_attribution(rec: &hswx_engine::SpanRecorder, walk: &hswx_engine::WalkRecord) {
+fn print_attribution(rec: &SpanRecorder, walk: &hswx_engine::WalkRecord) {
     let attr = rec.attribution(walk);
     let total_ns = attr.total.as_ns();
     println!("\nlatency attribution:");
@@ -299,9 +306,8 @@ fn print_attribution(rec: &hswx_engine::SpanRecorder, walk: &hswx_engine::WalkRe
 /// `hswx explain fig7 [SIZE_KIB] [--fwd N] [--home N]` — trace one read
 /// of the paper's Figure 7 scenario and explain where every nanosecond
 /// went, naming the HitME/AllocateShared hop behind the anomaly.
-#[cfg(feature = "trace")]
 fn explain_fig7(argv: &[String]) -> Result<(), String> {
-    use hswx_bench::scenarios::{first_core_of, nth_core_of, LatencyScenario};
+    use hswx_bench::scenarios::{first_core_of, nth_core_of};
     use hswx_haswell::CoherenceMode::ClusterOnDie;
     let flags = Flags::parse(argv, &["fwd", "home", "out"], &[])?;
     let size_kib: u64 = match flags.positional.first() {
@@ -326,21 +332,10 @@ fn explain_fig7(argv: &[String]) -> Result<(), String> {
         measurer,
         size: Some(size_kib * 1024),
     };
-    let mut p = scenario.prepare();
-    p.sys.attach_tracer(hswx_engine::SpanRecorder::with_capacity(1 << 14));
-    let out = p.sys.read(p.measurer, p.lines[0], p.t);
-    let rec = p
-        .sys
-        .take_tracer()
-        .ok_or("internal: span tracer detached during the scenario")?;
+    let (p, out, rec) = traced_reads(&scenario, 1 << 14, 1)?;
     let walk = rec.last_walk().ok_or("no walk recorded")?;
-    rec.validate_walk(&walk).map_err(|e| format!("internal: malformed span tree: {e}"))?;
     if let Some(path) = flags.map_get("out") {
-        let json = rec.chrome_json();
-        hswx_engine::trace::validate_trace_json(&json)
-            .map_err(|e| format!("internal: trace JSON failed validation: {e}"))?;
-        hswx_engine::atomic_write(std::path::Path::new(path), json.as_bytes(), false)
-            .map_err(|e| format!("{path}: {e}"))?;
+        write_trace_json(&rec, std::path::Path::new(path))?;
     }
 
     println!(
@@ -379,13 +374,6 @@ fn explain_fig7(argv: &[String]) -> Result<(), String> {
         println!("see the AllocateShared hop.");
     }
     Ok(())
-}
-
-#[cfg(not(feature = "trace"))]
-fn explain_fig7(_argv: &[String]) -> Result<(), String> {
-    Err("this binary was built without the `trace` feature; \
-         rebuild with default features to use `hswx explain fig7`"
-        .into())
 }
 
 /// `hswx explain diff A B` — compare two runs' exports and localize the
@@ -652,8 +640,9 @@ pub fn campaign(argv: &[String]) -> Result<(), String> {
     }
 
     // Export the merged simulated-time telemetry profile as CSV and
-    // OpenMetrics. An empty run (nothing sampled — e.g. a no-trace build)
-    // still writes structurally valid, channel-free files.
+    // OpenMetrics. An empty run (nothing sampled — e.g. every job resumed
+    // from the journal) still writes structurally valid, channel-free
+    // files.
     if let Some(base) = telemetry_base {
         let merged = summary.telemetry_merged().unwrap_or_else(|| {
             hswx_engine::TelemetrySampler::new(hswx_engine::TelemetryConfig::default())
@@ -668,12 +657,9 @@ pub fn campaign(argv: &[String]) -> Result<(), String> {
 
     // One trace artifact per campaign run: a span tree of the Figure 7
     // anomaly point, so every CI campaign uploads an openable trace.
-    #[cfg(feature = "trace")]
-    {
-        let trace_path = std::path::Path::new(&out_dir).join("campaign_trace.json");
-        write_campaign_trace(&trace_path)?;
-        println!("trace artifact: {}", trace_path.display());
-    }
+    let trace_path = std::path::Path::new(&out_dir).join("campaign_trace.json");
+    write_campaign_trace(&trace_path)?;
+    println!("trace artifact: {}", trace_path.display());
 
     if summary.ok() {
         Ok(())
@@ -684,9 +670,8 @@ pub fn campaign(argv: &[String]) -> Result<(), String> {
 
 /// Record the Figure 7 anomaly point (128 KiB, F=1, H=2) as a validated
 /// Chrome trace-event JSON artifact at `path`.
-#[cfg(feature = "trace")]
 fn write_campaign_trace(path: &std::path::Path) -> Result<(), String> {
-    use hswx_bench::scenarios::{first_core_of, LatencyScenario};
+    use hswx_bench::scenarios::first_core_of;
     use hswx_haswell::CoherenceMode::ClusterOnDie;
     let scenario = LatencyScenario {
         mode: ClusterOnDie,
@@ -697,21 +682,8 @@ fn write_campaign_trace(path: &std::path::Path) -> Result<(), String> {
         measurer: first_core_of(ClusterOnDie, 0),
         size: Some(128 * 1024),
     };
-    let mut p = scenario.prepare();
-    p.sys.attach_tracer(hswx_engine::SpanRecorder::with_capacity(1 << 14));
-    let mut t = p.t;
-    for line in p.lines.iter().take(4) {
-        t = p.sys.read(p.measurer, *line, t).done;
-    }
-    let rec = p
-        .sys
-        .take_tracer()
-        .ok_or("internal: span tracer detached during the scenario")?;
-    let json = rec.chrome_json();
-    hswx_engine::trace::validate_trace_json(&json)
-        .map_err(|e| format!("internal: trace JSON failed validation: {e}"))?;
-    hswx_engine::atomic_write(path, json.as_bytes(), false)
-        .map_err(|e| format!("{}: {e}", path.display()))
+    let (_, _, rec) = traced_reads(&scenario, 1 << 14, 4)?;
+    write_trace_json(&rec, path)
 }
 
 /// `hswx perfbench` — measure simulator host throughput on the fixed walk

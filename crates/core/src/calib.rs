@@ -273,11 +273,6 @@ impl Calib {
         }
     }
 
-    /// One core cycle at nominal clock, ns.
-    pub fn cycle_ns(&self) -> f64 {
-        1.0 / self.core_ghz
-    }
-
     /// Per-64-byte-line issue gap for a streaming load kernel.
     ///
     /// AVX: two 32-byte loads per cycle at the AVX base clock → one line

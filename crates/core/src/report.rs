@@ -28,11 +28,6 @@ impl Series {
     pub fn push(&mut self, x: f64, y: f64) {
         self.points.push((x, y));
     }
-
-    /// y value at the largest x (plateau value), if any.
-    pub fn last_y(&self) -> Option<f64> {
-        self.points.last().map(|&(_, y)| y)
-    }
 }
 
 /// A figure: several series over a common x axis.

@@ -530,7 +530,6 @@ impl System {
         // metrics registry stay transient scratch as documented above —
         // the sampler is different because its *contents* are simulation
         // results, not handles.
-        #[cfg(feature = "trace")]
         match &self.sampler {
             Some(s) => {
                 w.bool(true);
@@ -538,8 +537,6 @@ impl System {
             }
             None => w.bool(false),
         }
-        #[cfg(not(feature = "trace"))]
-        w.bool(false);
 
         w.finish()
     }
@@ -659,14 +656,7 @@ impl System {
 
         if r.bool()? {
             let sampler = hswx_engine::TelemetrySampler::decode(&mut r)?;
-            // Without the `trace` feature the series is parsed (so the
-            // frame fully validates) but has nowhere to live.
-            #[cfg(feature = "trace")]
-            {
-                sys.sampler = Some(Box::new(sampler));
-            }
-            #[cfg(not(feature = "trace"))]
-            let _ = sampler;
+            sys.sampler = Some(Box::new(sampler));
         }
         r.expect_end()?;
         Ok(sys)

@@ -6,8 +6,6 @@
 //! and no missing buckets (the suffix lands on top of the carried
 //! prefix).
 
-#![cfg(feature = "trace")]
-
 use hswx_engine::{SimTime, TelemetryConfig, TelemetrySampler};
 use hswx_haswell::{CoherenceMode, System, SystemConfig};
 use hswx_mem::{CoreId, LineAddr};

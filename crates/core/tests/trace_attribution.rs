@@ -5,8 +5,6 @@
 //! attribution whose component rows sum *exactly* (in integer
 //! picoseconds) to the walk's reported end-to-end latency.
 
-#![cfg(feature = "trace")]
-
 use hswx_engine::{SimTime, SpanRecorder};
 use hswx_haswell::microbench::Buffer;
 use hswx_haswell::placement::{Level, PlacedState, Placement};

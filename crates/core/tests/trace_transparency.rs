@@ -4,8 +4,6 @@
 //! and the invariant monitor — may run *while a trace is being recorded*
 //! without perturbing the span stream.
 
-#![cfg(feature = "trace")]
-
 use hswx_engine::{SimTime, SpanRecorder};
 use hswx_haswell::microbench::Buffer;
 use hswx_haswell::placement::{Level, PlacedState, Placement};

@@ -55,4 +55,4 @@ pub use snapshot::{SnapReader, SnapWriter, SnapshotError};
 pub use stats::{Counter, Histogram, OnlineStats};
 pub use telemetry::{TelemetryConfig, TelemetryHub, TelemetrySampler};
 pub use time::{SimDuration, SimTime, PS_PER_NS};
-pub use trace::{EventSink, Span, SpanId, SpanRecorder, WalkRecord};
+pub use trace::{Span, SpanId, SpanRecorder, WalkRecord};

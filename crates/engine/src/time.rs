@@ -91,11 +91,6 @@ impl SimDuration {
         self.0 as f64 * 1e-12
     }
 
-    /// Number of whole clock cycles this span covers at `ghz`.
-    pub fn as_cycles_at(self, ghz: f64) -> f64 {
-        self.as_ns() * ghz
-    }
-
     /// Scale by an integer factor.
     pub fn scaled(self, factor: u64) -> Self {
         SimDuration(self.0 * factor)

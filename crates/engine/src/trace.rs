@@ -2,9 +2,8 @@
 //! latency attribution.
 //!
 //! A [`Span`] is a named interval of simulated time with an optional
-//! parent; the [`EventSink`] trait is the narrow interface instrumented
-//! code talks to, and [`SpanRecorder`] is its ring-buffered
-//! implementation. Simulator code opens a root span per transaction walk,
+//! parent, and [`SpanRecorder`] is the ring buffer instrumented code
+//! records them into. Simulator code opens a root span per transaction walk,
 //! nests component spans underneath (ring hops, QPI serialization, snoop
 //! round trips, directory and HitME lookups, DRAM accesses …), and
 //! closes the walk with [`SpanRecorder::record_walk`].
@@ -63,28 +62,6 @@ pub struct Span {
     open: bool,
 }
 
-/// The interface instrumented code records through.
-///
-/// `begin`/`end` must bracket like a stack (the recorder tolerates and
-/// repairs mismatches, but attribution quality degrades); [`leaf`]
-/// records a span whose full interval is known at one code point.
-///
-/// [`leaf`]: EventSink::leaf
-pub trait EventSink {
-    /// Open a span starting at `at` under the currently open span.
-    fn begin(&mut self, name: &'static str, cat: &'static str, at: SimTime) -> SpanId;
-    /// Close span `id` at `at` (raised to cover its children).
-    fn end(&mut self, id: SpanId, at: SimTime);
-    /// Attach or replace the free-form annotation on `id`.
-    fn detail(&mut self, id: SpanId, detail: String);
-    /// Record a complete child span of the currently open span.
-    fn leaf(&mut self, name: &'static str, cat: &'static str, start: SimTime, end: SimTime) -> SpanId {
-        let id = self.begin(name, cat, start);
-        self.end(id, end);
-        id
-    }
-}
-
 /// One completed transaction walk: its root span and the latency
 /// interval the simulator reported for it.
 #[derive(Debug, Clone, Copy)]
@@ -126,7 +103,13 @@ pub struct Attribution {
     pub total: SimDuration,
 }
 
-/// Ring-buffered [`EventSink`] implementation.
+/// Ring buffer of recorded spans.
+///
+/// Instrumented code records through [`begin`](Self::begin) /
+/// [`end`](Self::end), which must bracket like a stack (the recorder
+/// tolerates and repairs mismatches, but attribution quality degrades),
+/// and [`leaf`](Self::leaf), which records a span whose full interval is
+/// known at one code point.
 ///
 /// Holds up to `capacity` spans; when full, spans of *earlier* walks are
 /// evicted oldest-first. Spans belonging to the walk currently being
@@ -181,7 +164,7 @@ impl SpanRecorder {
     }
 
     /// Close the current walk: `root` must be the span returned by the
-    /// opening [`begin`](EventSink::begin). Records the reported
+    /// opening [`begin`](Self::begin). Records the reported
     /// `[issued, done]` latency interval for attribution.
     pub fn record_walk(&mut self, root: SpanId, issued: SimTime, done: SimTime) {
         self.walks.push_back(WalkRecord { root, issued, done });
@@ -413,10 +396,9 @@ impl SpanRecorder {
         }
         out
     }
-}
 
-impl EventSink for SpanRecorder {
-    fn begin(&mut self, name: &'static str, cat: &'static str, at: SimTime) -> SpanId {
+    /// Open a span starting at `at` under the currently open span.
+    pub fn begin(&mut self, name: &'static str, cat: &'static str, at: SimTime) -> SpanId {
         let id = SpanId(self.next);
         self.next += 1;
         let parent = self.stack.last().copied();
@@ -440,7 +422,8 @@ impl EventSink for SpanRecorder {
         id
     }
 
-    fn end(&mut self, id: SpanId, at: SimTime) {
+    /// Close span `id` at `at` (raised to cover its children).
+    pub fn end(&mut self, id: SpanId, at: SimTime) {
         // Repair mismatched brackets: close everything opened after `id`.
         if let Some(pos) = self.stack.iter().rposition(|&s| s == id) {
             let stale: Vec<SpanId> = self.stack.split_off(pos + 1);
@@ -469,10 +452,24 @@ impl EventSink for SpanRecorder {
         }
     }
 
-    fn detail(&mut self, id: SpanId, detail: String) {
+    /// Attach or replace the free-form annotation on `id`.
+    pub fn detail(&mut self, id: SpanId, detail: String) {
         if let Some(s) = self.get_mut(id) {
             s.detail = Some(detail);
         }
+    }
+
+    /// Record a complete child span of the currently open span.
+    pub fn leaf(
+        &mut self,
+        name: &'static str,
+        cat: &'static str,
+        start: SimTime,
+        end: SimTime,
+    ) -> SpanId {
+        let id = self.begin(name, cat, start);
+        self.end(id, end);
+        id
     }
 }
 

@@ -38,11 +38,6 @@ impl DieVariant {
             DieVariant::EighteenCore => 18,
         }
     }
-
-    /// Number of memory controllers (home agents).
-    pub fn imcs(self) -> u8 {
-        2
-    }
 }
 
 /// A ring stop on a die. Core and slice indices are die-local.
