@@ -330,12 +330,6 @@ impl TimedPool {
         self.capacity
     }
 
-    /// Currently tracked occupants (includes ones past their completion
-    /// that have not been reclaimed by a `wait_for_slot` yet).
-    pub fn tracked(&self) -> usize {
-        self.busy.len()
-    }
-
     /// Snapshot view: in-flight completion times in ascending order (the
     /// heap iterates unordered, so sorting here keeps encodings
     /// deterministic).
