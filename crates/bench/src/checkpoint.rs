@@ -6,9 +6,10 @@
 //! closes that gap. Jobs record each independently-computed sweep point
 //! (keyed by a caller-chosen FNV key covering the series label, sweep
 //! coordinate, and config digest) as soon as it is known; the store
-//! persists the full map through the `hswx-engine` snapshot frame codec
-//! via `atomic_write`, so a kill -9 at any instant leaves either the
-//! previous checkpoint or the new one — never a torn file.
+//! persists the full map as one `hswx-engine` frame (`SnapWriter`) via
+//! `atomic_write`, so a kill -9 at any instant leaves either the previous
+//! checkpoint or the new one — never a torn file. Checkpoints hold
+//! results, never simulator state: a resumed job rebuilds its systems.
 //!
 //! Checkpointed values are **bit-exact** (`f64` payloads travel as raw
 //! bits), so a resumed job emits artifacts byte-identical to an
@@ -21,11 +22,11 @@ use hswx_engine::{atomic_write, fnv1a64, fnv1a64_extend, FxHashMap};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-/// Frame schema for checkpoint files (distinct from the system snapshot
-/// schema so the two can never be confused for one another).
+/// Frame schema for checkpoint files (distinct from the config digest's
+/// schema word so the two frames can never be confused for one another).
 pub const CHECKPOINT_SCHEMA: u32 = 0x6350_0001;
 
-/// Crash-safe `key -> f64` memo backed by one snapshot-framed file.
+/// Crash-safe `key -> f64` memo backed by one framed file.
 #[derive(Debug)]
 pub struct CheckpointStore {
     path: PathBuf,

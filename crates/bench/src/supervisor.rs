@@ -525,16 +525,13 @@ impl Supervisor {
                 text.push_str(&format!("# {name} {v}\n"));
             }
         }
-        // Exact reproduction recipe: the command, reference-config
-        // digest, and snapshot schema version this campaign ran under.
-        // Comment-prefixed so one-line-per-artifact consumers are
-        // unaffected.
+        // Exact reproduction recipe: the command and the reference-config
+        // digest this campaign ran under. Comment-prefixed so
+        // one-line-per-artifact consumers are unaffected.
         text.push_str(&format!(
-            "# reproduce: hswx campaign --out <dir>  \
-             (config digest {:016x}, snapshot schema v{})\n",
+            "# reproduce: hswx campaign --out <dir>  (config digest {:016x})\n",
             hswx_haswell::SystemConfig::e5_2680_v3(hswx_haswell::CoherenceMode::SourceSnoop)
                 .digest(),
-            hswx_haswell::SYSTEM_SNAPSHOT_SCHEMA,
         ));
         let path = self.cfg.out_dir.join("manifest.txt");
         atomic_write(&path, text.as_bytes(), self.cfg.fsync)
@@ -937,7 +934,6 @@ mod tests {
             .unwrap_or_else(|| panic!("no reproduce line in {manifest}"));
         assert!(line.contains("hswx campaign --out <dir>"), "{line}");
         assert!(line.contains("config digest"), "{line}");
-        assert!(line.contains("snapshot schema v"), "{line}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

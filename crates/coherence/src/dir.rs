@@ -71,25 +71,6 @@ impl InMemoryDirectory {
     pub fn iter(&self) -> impl Iterator<Item = (LineAddr, DirState)> + '_ {
         self.entries.iter().map(|(&l, &s)| (l, s))
     }
-
-    /// Overwrite the directory from snapshot data: `entries` replaces the
-    /// state table verbatim (without counting transitions) and the
-    /// read/write counters are restored as given.
-    pub fn restore(
-        &mut self,
-        entries: impl IntoIterator<Item = (LineAddr, DirState)>,
-        reads: u64,
-        writes: u64,
-    ) {
-        self.entries.clear();
-        for (l, s) in entries {
-            if s != DirState::RemoteInvalid {
-                self.entries.insert(l, s);
-            }
-        }
-        self.reads = reads;
-        self.writes = writes;
-    }
 }
 
 #[cfg(test)]

@@ -15,7 +15,6 @@
 //! show memory-sourced forwards (fast) and large ones degrade to snoops.
 
 use crate::presence::NodeSet;
-use hswx_engine::snapshot::{SnapReader, SnapWriter, SnapshotError};
 use hswx_mem::{CacheGeometry, LineAddr, NodeId, SetAssocCache};
 use serde::{Deserialize, Serialize};
 
@@ -161,32 +160,6 @@ impl HitMeCache {
     /// `[hits, misses, allocs, evictions]`.
     pub fn counters(&self) -> [u64; 4] {
         [self.hits, self.misses, self.allocs, self.evictions]
-    }
-
-    /// Encode the full cache state + counters into `w`. Entries pack into
-    /// one word: presence-vector byte, clean bit.
-    pub fn encode_snapshot(&self, w: &mut SnapWriter) {
-        self.cache
-            .encode_snapshot(w, |e| (e.nodes.0 as u64) | ((e.clean as u64) << 8));
-        for c in self.counters() {
-            w.u64(c);
-        }
-    }
-
-    /// Restore state captured by [`encode_snapshot`](Self::encode_snapshot)
-    /// into a cache of identical geometry.
-    pub fn decode_snapshot(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
-        self.cache.decode_snapshot(r, |word| {
-            if word >> 9 != 0 {
-                return None;
-            }
-            Some(HitMeEntry { nodes: NodeSet(word as u8), clean: word & (1 << 8) != 0 })
-        })?;
-        self.hits = r.u64()?;
-        self.misses = r.u64()?;
-        self.allocs = r.u64()?;
-        self.evictions = r.u64()?;
-        Ok(())
     }
 }
 

@@ -154,9 +154,9 @@ impl BatchOutcome {
 /// SoA staging scratch reused across [`System::run_batch`] calls.
 ///
 /// Parallel flat arrays, one entry per staged access (`slices` holds
-/// `n_nodes` entries per access). Host-side only: excluded from snapshots
-/// and never observable in simulated state, like the walk scratch fields
-/// on [`System`].
+/// `n_nodes` entries per access). Host-side only: not copied by
+/// [`System::fork`] and never observable in simulated state, like the walk
+/// scratch fields on [`System`].
 #[derive(Debug, Default)]
 pub struct BatchScratch {
     /// Per-access, per-node CBo slice: entry `i * n_nodes + k` is where

@@ -18,12 +18,12 @@
 //!
 //! Modules:
 //! * [`config`] / [`calib`] — system description (with a validated,
-//!   panic-free construction boundary) and component timing.
-//! * [`snapshot`] — deterministic, bit-transparent full-system
-//!   snapshot/restore on the `hswx-engine` binary frame codec.
+//!   panic-free construction boundary and a stable digest) and component
+//!   timing.
 //! * [`analytic`] — closed-form latency formulas used as differential
 //!   checks against the simulator.
-//! * [`system`] — the simulated machine and its transaction walks.
+//! * [`system`] — the simulated machine and its transaction walks;
+//!   [`System::fork`] copies a warmed machine.
 //! * [`batch`] — the pipelined batch-walk engine (SoA staging + lookahead
 //!   prefetch), bit-identical to sequential dispatch.
 //! * [`error`] / [`monitor`] / [`inject`] — typed simulation errors, the
@@ -44,7 +44,6 @@ pub mod microbench;
 pub mod monitor;
 pub mod placement;
 pub mod report;
-pub mod snapshot;
 pub mod spec;
 pub mod system;
 
@@ -52,7 +51,6 @@ pub use calib::Calib;
 pub use config::{CoherenceMode, ConfigError, SystemConfig};
 pub use error::SimError;
 pub use monitor::{MonitorConfig, Violation};
-pub use snapshot::SYSTEM_SNAPSHOT_SCHEMA;
 pub use placement::{PlacedState, Placement};
 pub use batch::{Access, AccessOp, BatchOutcome, BatchReply, Issue, BATCH_CHUNK};
 pub use system::{AccessOutcome, ProtoStep, Stats, System};

@@ -1,29 +1,19 @@
-//! Cancellation, including its edge cases at the snapshot boundary.
+//! Cancellation and its edge cases.
 //!
-//! A supervisor's watchdog can fire at any instant — including while a
-//! campaign is mid-walk with a snapshot file half-written. These tests
-//! pin the guarantees the campaign supervisor leans on:
+//! A supervisor's watchdog can fire at any instant, including mid-walk.
+//! These tests pin the guarantees the campaign supervisor leans on:
 //!
-//! * a system built under an ambient [`CancelToken`] aborts its walks
-//!   once the token fires, and one built without a token never does;
+//! * a system built or forked under an ambient [`CancelToken`] aborts its
+//!   walks once the token fires, and one built without a token never
+//!   does;
 //! * a cancelled walk refuses with the typed [`SimError::Cancelled`]
-//!   *before touching any state* (digest and re-encoded frame unchanged);
-//! * snapshot files are **whole-or-absent**: because [`System::save_snapshot`]
-//!   goes through `atomic_write` (tmp + rename), a cancellation — even one
-//!   racing the write from another thread — leaves either the previous
-//!   complete frame or the new complete frame on disk, never a torn one.
+//!   *before touching any state*: a fork taken after the refused walks
+//!   continues exactly like one taken before them.
 
 use hswx_engine::{CancelToken, SimTime};
 use hswx_haswell::{CoherenceMode, SimError, System, SystemConfig};
 use hswx_mem::{CoreId, LineAddr};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
-
-fn tmp(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("hswx-cancel-snap-{tag}-{}", std::process::id()))
-}
 
 fn cod_system() -> System {
     System::new(SystemConfig::e5_2680_v3(CoherenceMode::ClusterOnDie))
@@ -37,13 +27,10 @@ fn warmed_with_token(token: CancelToken) -> (System, SimTime) {
     for i in 0..64 {
         t = sys.read(CoreId((i % 16) as u16), LineAddr(i * 3), t).done;
     }
-    // The token is captured at construction, so rebuild from a snapshot
-    // under the ambient guard — exactly how a supervisor restores a
-    // checkpointed job under its watchdog.
-    let frame = sys.snapshot();
+    // A fork captures the ambient token, so fork under the guard: the
+    // warm state carries over and the fork answers to `token`.
     let _guard = CancelToken::set_ambient(token);
-    let sys = System::restore(&frame).expect("clean snapshot restores");
-    (sys, t)
+    (sys.fork(), t)
 }
 
 #[test]
@@ -96,10 +83,12 @@ fn negative_remaining_budget_saturates_and_refuses() {
 }
 
 #[test]
-fn cancelled_walks_leave_the_frame_bit_identical() {
+fn cancelled_walks_leave_the_state_bit_identical() {
     let token = CancelToken::new();
     let (mut sys, t) = warmed_with_token(token.clone());
-    let frame = sys.snapshot();
+    // Forks taken with no ambient token never cancel, so both can run
+    // the same continuation.
+    let mut before = sys.fork();
     token.cancel();
     for i in 0..10u64 {
         assert!(matches!(
@@ -107,78 +96,19 @@ fn cancelled_walks_leave_the_frame_bit_identical() {
             Err(SimError::Cancelled { .. })
         ));
     }
-    assert_eq!(sys.snapshot(), frame, "cancelled walks re-encode to the same bytes");
-}
-
-#[test]
-fn cancellation_mid_campaign_leaves_a_whole_snapshot_on_disk() {
-    let path = tmp("mid-campaign");
-    let _ = std::fs::remove_file(&path);
-    let token = CancelToken::new();
-    let (mut sys, mut t) = warmed_with_token(token.clone());
-
-    // Campaign loop: walk, then checkpoint. The token fires mid-loop.
-    let mut last_saved_digest = None;
-    for i in 0..40u64 {
-        if i == 17 {
-            token.cancel();
-        }
-        match sys.try_read(CoreId((i % 16) as u16), LineAddr(i * 7), t) {
-            Ok(out) => t = out.done,
-            Err(SimError::Cancelled { .. }) => break,
-            Err(e) => panic!("unexpected walk error: {e}"),
-        }
-        sys.save_snapshot(&path, false).expect("checkpoint write");
-        last_saved_digest = Some(sys.state_digest());
+    let mut after = sys.fork();
+    assert_eq!(before.txns(), after.txns(), "refused walks are not transactions");
+    let (mut ta, mut tb) = (t, t);
+    for i in 0..64u64 {
+        let (core, line) = (CoreId((i * 5 % 16) as u16), LineAddr(i * 11 % 300));
+        let (a, b) = if i % 3 == 0 {
+            (before.write(core, line, ta), after.write(core, line, tb))
+        } else {
+            (before.read(core, line, ta), after.read(core, line, tb))
+        };
+        assert_eq!(a, b, "walk {i} diverged after the refused walks");
+        (ta, tb) = (a.done, b.done);
     }
-    let last_saved_digest = last_saved_digest.expect("at least one checkpoint before the cancel");
-
-    // Whole-or-absent: what's on disk is the *complete* last checkpoint.
-    let resumed = System::load_snapshot(&path).expect("disk frame is whole");
-    assert_eq!(resumed.state_digest(), last_saved_digest);
-    let _ = std::fs::remove_file(&path);
-}
-
-#[test]
-fn concurrent_cancel_never_tears_the_snapshot_file() {
-    let path = tmp("race");
-    let _ = std::fs::remove_file(&path);
-    let sys = {
-        let mut sys = System::new(SystemConfig::e5_8core(CoherenceMode::SourceSnoop));
-        let mut t = SimTime::ZERO;
-        for i in 0..64 {
-            t = sys.read(CoreId((i % 16) as u16), LineAddr(i * 3), t).done;
-        }
-        sys
-    };
-    let expected = sys.state_digest();
-    let first_write_done = Arc::new(AtomicBool::new(false));
-
-    std::thread::scope(|scope| {
-        let writer_flag = Arc::clone(&first_write_done);
-        let writer_path = path.clone();
-        let writer = scope.spawn(move || {
-            // Keep rewriting the same frame while the main thread cancels
-            // and reads: every rename publishes a complete file.
-            for _ in 0..50 {
-                sys.save_snapshot(&writer_path, false).expect("atomic save");
-                writer_flag.store(true, Ordering::Release);
-            }
-        });
-
-        while !first_write_done.load(Ordering::Acquire) {
-            std::hint::spin_loop();
-        }
-        // The "cancellation storm" side: fire tokens and reload the file
-        // concurrently with the writer's renames. Every load must see a
-        // whole frame with the writer's digest.
-        for _ in 0..25 {
-            let token = CancelToken::with_deadline(Duration::ZERO);
-            assert!(token.is_cancelled());
-            let loaded = System::load_snapshot(&path).expect("no torn reads through rename");
-            assert_eq!(loaded.state_digest(), expected);
-        }
-        writer.join().expect("writer thread");
-    });
-    let _ = std::fs::remove_file(&path);
+    assert_eq!(format!("{:?}", before.stats), format!("{:?}", after.stats));
+    assert_eq!(before.state_digest(), after.state_digest());
 }

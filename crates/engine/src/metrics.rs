@@ -44,13 +44,13 @@ impl AtomicHistogram {
     }
 
     /// Per-bin counts.
-    pub fn snapshot(&self) -> [u64; HISTOGRAM_BINS] {
+    pub fn counts(&self) -> [u64; HISTOGRAM_BINS] {
         std::array::from_fn(|i| self.bins[i].load(Ordering::Relaxed))
     }
 
     /// Total samples recorded.
     pub fn count(&self) -> u64 {
-        self.snapshot().iter().sum()
+        self.counts().iter().sum()
     }
 }
 
@@ -162,7 +162,7 @@ impl MetricsRegistry {
             .lock()
             .unwrap()
             .iter()
-            .map(|(n, h)| (n.clone(), h.snapshot()))
+            .map(|(n, h)| (n.clone(), h.counts()))
             .collect();
         out.sort_by(|a, b| a.0.cmp(&b.0));
         out
@@ -465,7 +465,7 @@ mod tests {
         h.record(5);
         h.record(6);
         assert_eq!(h.count(), 3);
-        assert_eq!(h.snapshot()[3], 2);
+        assert_eq!(h.counts()[3], 2);
     }
 
     #[test]

@@ -214,58 +214,6 @@ impl ThroughputResource {
         self.busy = SimDuration::ZERO;
         self.bytes = 0;
     }
-
-    // ------------------------------------------------------------------
-    // snapshot support (see `crate::snapshot`)
-    // ------------------------------------------------------------------
-
-    /// The busy intervals `(start_ps, end_ps)` in time order — already a
-    /// deterministic encoding order.
-    pub fn intervals(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.intervals.iter().copied()
-    }
-
-    /// Accumulated busy time in picoseconds.
-    pub fn busy_ps(&self) -> u64 {
-        self.busy.0
-    }
-
-    /// Overwrite occupancy/accounting from a snapshot. `intervals` must be
-    /// the sorted, disjoint list a prior [`Self::intervals`] produced;
-    /// anything else is rejected so a corrupt snapshot cannot install an
-    /// invariant-breaking schedule.
-    pub fn restore_state(
-        &mut self,
-        intervals: impl IntoIterator<Item = (u64, u64)>,
-        busy_ps: u64,
-        bytes: u64,
-    ) -> Result<(), String> {
-        let mut restored: VecDeque<(u64, u64)> = VecDeque::new();
-        for (s, e) in intervals {
-            if s >= e {
-                return Err(format!("empty or inverted busy interval ({s}, {e})"));
-            }
-            if let Some(&(_, prev_end)) = restored.back() {
-                if s < prev_end {
-                    return Err(format!(
-                        "busy interval ({s}, {e}) overlaps or precedes previous end {prev_end}"
-                    ));
-                }
-            }
-            restored.push_back((s, e));
-        }
-        if restored.len() > Self::MAX_INTERVALS {
-            return Err(format!(
-                "{} busy intervals exceed the {} cap",
-                restored.len(),
-                Self::MAX_INTERVALS
-            ));
-        }
-        self.intervals = restored;
-        self.busy = SimDuration(busy_ps);
-        self.bytes = bytes;
-        Ok(())
-    }
 }
 
 /// A bounded pool whose tokens free themselves at known times.
@@ -328,31 +276,6 @@ impl TimedPool {
     /// Configured capacity.
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// Snapshot view: in-flight completion times in ascending order (the
-    /// heap iterates unordered, so sorting here keeps encodings
-    /// deterministic).
-    pub fn busy_sorted(&self) -> Vec<u64> {
-        let mut v: Vec<u64> = self.busy.iter().map(|&std::cmp::Reverse(t)| t).collect();
-        v.sort_unstable();
-        v
-    }
-
-    /// Overwrite the in-flight occupants from a snapshot. Rejects more
-    /// occupants than the pool has slots.
-    pub fn restore_busy(&mut self, times: impl IntoIterator<Item = u64>) -> Result<(), String> {
-        let heap: std::collections::BinaryHeap<std::cmp::Reverse<u64>> =
-            times.into_iter().map(std::cmp::Reverse).collect();
-        if heap.len() > self.capacity {
-            return Err(format!(
-                "{} occupants exceed pool capacity {}",
-                heap.len(),
-                self.capacity
-            ));
-        }
-        self.busy = heap;
-        Ok(())
     }
 }
 

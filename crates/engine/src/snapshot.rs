@@ -1,11 +1,12 @@
-//! Versioned, digest-framed binary snapshot codec.
+//! Versioned, digest-framed binary frame codec.
 //!
-//! Snapshots let a simulator be paused, persisted, and resumed
-//! bit-identically — the substrate for mid-job checkpointing. The
-//! vendored `serde` is an API stub, so the codec is hand-rolled: a [`SnapWriter`] appends
-//! little-endian primitives to a framed buffer and a [`SnapReader`]
-//! consumes them in the same order. The frame is self-describing enough
-//! to be rejected loudly rather than misread:
+//! Two things are framed: the campaign's mid-job checkpoint files
+//! (`CheckpointStore` in `hswx-bench`) and the canonical encoding that
+//! `SystemConfig::digest` hashes. The vendored `serde` is an API stub, so
+//! the codec is hand-rolled: a [`SnapWriter`] appends little-endian
+//! primitives to a framed buffer and a [`SnapReader`] consumes them in the
+//! same order. The frame is self-describing enough to be rejected loudly
+//! rather than misread:
 //!
 //! ```text
 //! +----------+-----------+----------+------------------+-------------+
@@ -23,40 +24,30 @@
 //!   frame is detected.
 //!
 //! Files are written through [`atomic_write`](crate::fsio::atomic_write)
-//! (tmp + rename), so an on-disk snapshot is whole-or-absent even when
-//! the writer is killed mid-write — the cancellation tests race snapshot
-//! writes against reloads to prove exactly that.
+//! (tmp + rename), so an on-disk frame is whole-or-absent even when the
+//! writer is killed mid-write — a test below races reads against the
+//! renames to prove exactly that.
 //!
 //! Determinism contract: encoders must serialize unordered containers
-//! (hash maps, binary heaps) in a sorted order, the same discipline the
-//! protocol `state_digest` uses, so identical states produce identical
-//! bytes.
+//! (hash maps) in a sorted order, the same discipline the protocol
+//! `state_digest` uses, so identical states produce identical bytes.
 
-use crate::fsio::{atomic_write, fnv1a64};
+use crate::fsio::fnv1a64;
 use std::fmt;
-use std::io;
-use std::path::Path;
 
-/// Leading frame bytes of every snapshot.
+/// Leading bytes of every frame.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"HSWXSNAP";
 
 /// Bytes of framing overhead around the payload (magic + schema + len +
 /// digest).
 pub const FRAME_OVERHEAD: usize = 8 + 4 + 8 + 8;
 
-/// Why a snapshot could not be produced or decoded.
+/// Why a frame could not be decoded.
 ///
 /// Every variant names what was being read and what was found, so a
 /// caller (or a user at a terminal) sees a cause, not a panic.
 #[derive(Debug)]
 pub enum SnapshotError {
-    /// Filesystem failure reading or writing a snapshot file.
-    Io {
-        /// The path involved.
-        path: String,
-        /// The underlying error.
-        source: io::Error,
-    },
     /// The buffer does not start with [`SNAPSHOT_MAGIC`].
     BadMagic {
         /// The leading bytes actually found (up to 8).
@@ -97,9 +88,6 @@ pub enum SnapshotError {
 impl fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SnapshotError::Io { path, source } => {
-                write!(f, "snapshot I/O on {path}: {source}")
-            }
             SnapshotError::BadMagic { found } => {
                 write!(f, "not a snapshot: leading bytes {found:02x?} != {SNAPSHOT_MAGIC:02x?}")
             }
@@ -119,16 +107,9 @@ impl fmt::Display for SnapshotError {
     }
 }
 
-impl std::error::Error for SnapshotError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            SnapshotError::Io { source, .. } => Some(source),
-            _ => None,
-        }
-    }
-}
+impl std::error::Error for SnapshotError {}
 
-/// Append-only encoder for one snapshot frame.
+/// Append-only encoder for one frame.
 ///
 /// All integers are little-endian; floats are their IEEE-754 bit
 /// patterns (so NaN payloads survive a round trip bit-exactly).
@@ -158,11 +139,6 @@ impl SnapWriter {
         self.buf.push(v as u8);
     }
 
-    /// Append a `u16`.
-    pub fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Append a `u32`.
     pub fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
@@ -178,25 +154,9 @@ impl SnapWriter {
         self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
     }
 
-    /// Append a length-prefixed byte string.
-    pub fn bytes(&mut self, v: &[u8]) {
-        self.u64(v.len() as u64);
-        self.buf.extend_from_slice(v);
-    }
-
-    /// Append a length-prefixed UTF-8 string.
-    pub fn str(&mut self, v: &str) {
-        self.bytes(v.as_bytes());
-    }
-
     /// Append a sequence length marker (before encoding that many items).
     pub fn seq(&mut self, len: usize) {
         self.u64(len as u64);
-    }
-
-    /// Bytes written so far, including the header.
-    pub fn position(&self) -> usize {
-        self.buf.len()
     }
 
     /// Close the frame: back-patch the payload length and append the
@@ -210,7 +170,7 @@ impl SnapWriter {
     }
 }
 
-/// Sequential decoder over one verified snapshot frame.
+/// Sequential decoder over one verified frame.
 #[derive(Debug)]
 pub struct SnapReader<'a> {
     payload: &'a [u8],
@@ -281,55 +241,9 @@ impl<'a> SnapReader<'a> {
         Ok(s)
     }
 
-    /// Read a `u8`.
-    pub fn u8(&mut self) -> Result<u8, SnapshotError> {
-        Ok(self.take(1, "u8")?[0])
-    }
-
-    /// Read a `bool`, rejecting bytes other than 0/1.
-    pub fn bool(&mut self) -> Result<bool, SnapshotError> {
-        match self.take(1, "bool")?[0] {
-            0 => Ok(false),
-            1 => Ok(true),
-            b => Err(SnapshotError::Corrupt {
-                what: "bool",
-                detail: format!("byte {b:#04x} is neither 0 nor 1"),
-            }),
-        }
-    }
-
-    /// Read a `u16`.
-    pub fn u16(&mut self) -> Result<u16, SnapshotError> {
-        Ok(u16::from_le_bytes(self.take(2, "u16")?.try_into().expect("2 bytes")))
-    }
-
-    /// Read a `u32`.
-    pub fn u32(&mut self) -> Result<u32, SnapshotError> {
-        Ok(u32::from_le_bytes(self.take(4, "u32")?.try_into().expect("4 bytes")))
-    }
-
     /// Read a `u64`.
     pub fn u64(&mut self) -> Result<u64, SnapshotError> {
         Ok(u64::from_le_bytes(self.take(8, "u64")?.try_into().expect("8 bytes")))
-    }
-
-    /// Read an `f64` bit pattern.
-    pub fn f64(&mut self) -> Result<f64, SnapshotError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// Read a length-prefixed byte string.
-    pub fn bytes(&mut self) -> Result<&'a [u8], SnapshotError> {
-        let len = self.u64()? as usize;
-        self.take(len, "bytes body")
-    }
-
-    /// Read a length-prefixed UTF-8 string.
-    pub fn str(&mut self) -> Result<&'a str, SnapshotError> {
-        std::str::from_utf8(self.bytes()?).map_err(|e| SnapshotError::Corrupt {
-            what: "utf-8 string",
-            detail: e.to_string(),
-        })
     }
 
     /// Read a sequence length marker, bounds-checked against the bytes
@@ -345,11 +259,6 @@ impl<'a> SnapReader<'a> {
         }
     }
 
-    /// Payload bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.payload.len() - self.pos
-    }
-
     /// Require the whole payload to have been consumed — catches
     /// encoder/decoder drift where the two sides disagree on a field.
     pub fn expect_end(&self) -> Result<(), SnapshotError> {
@@ -358,48 +267,38 @@ impl<'a> SnapReader<'a> {
         } else {
             Err(SnapshotError::Corrupt {
                 what: "frame end",
-                detail: format!("{} trailing payload bytes left undecoded", self.remaining()),
+                detail: format!(
+                    "{} trailing payload bytes left undecoded",
+                    self.payload.len() - self.pos
+                ),
             })
         }
     }
-}
-
-/// Persist a finished frame atomically (tmp + rename): readers see the
-/// whole snapshot or none of it, never a torn prefix.
-pub fn write_snapshot_file(
-    path: &Path,
-    frame: &[u8],
-    fsync: bool,
-) -> Result<(), SnapshotError> {
-    atomic_write(path, frame, fsync).map_err(|source| SnapshotError::Io {
-        path: path.display().to_string(),
-        source,
-    })
-}
-
-/// Read a snapshot file back; the caller opens the returned bytes with
-/// [`SnapReader::open`] (which performs all verification).
-pub fn read_snapshot_file(path: &Path) -> Result<Vec<u8>, SnapshotError> {
-    std::fs::read(path).map_err(|source| SnapshotError::Io {
-        path: path.display().to_string(),
-        source,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Scalars in the layout the writer must produce: little-endian
+    /// integers, a bool as one byte, an `f64` as its raw bit pattern.
+    fn scalar_bytes() -> Vec<u8> {
+        let mut b = vec![0xAB, 1];
+        b.extend_from_slice(&0xDEAD_BEEFu32.to_le_bytes());
+        b.extend_from_slice(&0x0123_4567_89AB_CDEFu64.to_le_bytes());
+        b.extend_from_slice(&(-0.0f64).to_bits().to_le_bytes());
+        b.extend_from_slice(&f64::NAN.to_bits().to_le_bytes());
+        b
+    }
+
     fn sample_frame() -> Vec<u8> {
         let mut w = SnapWriter::new(7);
         w.u8(0xAB);
         w.bool(true);
-        w.u16(0xBEEF);
         w.u32(0xDEAD_BEEF);
         w.u64(0x0123_4567_89AB_CDEF);
         w.f64(-0.0);
         w.f64(f64::NAN);
-        w.str("hswx");
         w.seq(3);
         for i in 0..3u64 {
             w.u64(i);
@@ -412,14 +311,8 @@ mod tests {
         let frame = sample_frame();
         let (schema, mut r) = SnapReader::open(&frame).expect("open");
         assert_eq!(schema, 7);
-        assert_eq!(r.u8().unwrap(), 0xAB);
-        assert!(r.bool().unwrap());
-        assert_eq!(r.u16().unwrap(), 0xBEEF);
-        assert_eq!(r.u32().unwrap(), 0xDEAD_BEEF);
-        assert_eq!(r.u64().unwrap(), 0x0123_4567_89AB_CDEF);
-        assert_eq!(r.f64().unwrap().to_bits(), (-0.0f64).to_bits());
-        assert!(r.f64().unwrap().is_nan());
-        assert_eq!(r.str().unwrap(), "hswx");
+        let scalars = scalar_bytes();
+        assert_eq!(r.take(scalars.len(), "scalars").unwrap(), &scalars[..]);
         let n = r.seq(8, "items").unwrap();
         assert_eq!(n, 3);
         for i in 0..3u64 {
@@ -499,31 +392,44 @@ mod tests {
         assert!(r.expect_end().is_ok());
     }
 
+    /// A reader racing `atomic_write`'s renames sees one whole frame or
+    /// the other, never a torn or half-replaced file.
     #[test]
-    fn file_round_trip_atomic() {
-        let dir = std::env::temp_dir().join(format!("hswx-snap-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("state.snap");
-        let frame = sample_frame();
-        write_snapshot_file(&path, &frame, false).unwrap();
-        let back = read_snapshot_file(&path).unwrap();
-        assert_eq!(back, frame);
-        // No tmp file may linger after a successful write.
-        let leftovers: Vec<_> = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .filter(|e| e.file_name() != "state.snap")
-            .collect();
-        assert!(leftovers.is_empty(), "leftover files: {leftovers:?}");
-        std::fs::remove_dir_all(&dir).ok();
-    }
+    fn reads_racing_atomic_writes_see_whole_frames() {
+        use crate::fsio::atomic_write;
+        use std::sync::atomic::{AtomicBool, Ordering};
 
-    #[test]
-    fn missing_file_is_io_error_with_path() {
-        let err = read_snapshot_file(Path::new("/nonexistent/hswx.snap")).unwrap_err();
-        match err {
-            SnapshotError::Io { path, .. } => assert!(path.contains("hswx.snap")),
-            other => panic!("unexpected {other}"),
-        }
+        let dir = std::env::temp_dir().join(format!("hswx-snap-race-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("frame");
+        let frames: Vec<Vec<u8>> = (0..2u64)
+            .map(|k| {
+                let mut w = SnapWriter::new(1);
+                w.seq(64 << k);
+                for i in 0..64u64 << k {
+                    w.u64(i ^ k);
+                }
+                w.finish()
+            })
+            .collect();
+        let first_write_done = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            let writer = scope.spawn(|| {
+                for i in 0..50 {
+                    atomic_write(&path, &frames[i % 2], false).expect("atomic write");
+                    first_write_done.store(true, Ordering::Release);
+                }
+            });
+            while !first_write_done.load(Ordering::Acquire) {
+                std::hint::spin_loop();
+            }
+            for _ in 0..25 {
+                let bytes = std::fs::read(&path).expect("the file exists after the first write");
+                SnapReader::open(&bytes).expect("no torn reads through rename");
+                assert!(frames.contains(&bytes), "read a frame nobody wrote");
+            }
+            writer.join().expect("writer thread");
+        });
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

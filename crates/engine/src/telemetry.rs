@@ -9,9 +9,10 @@
 //! bucket width doubles and adjacent pairs merge — repeatedly, until the
 //! sample fits. Because buckets stay aligned to simulated time zero and
 //! merging is plain addition, the final series is a pure function of the
-//! *multiset* of samples: insertion order, thread interleaving, and
-//! where a run was snapshotted and resumed all cancel out. That property
-//! is what lets the resume tests demand byte-identical exports.
+//! *multiset* of samples: insertion order and thread interleaving cancel
+//! out. That property is what lets parallel sweeps demand byte-identical
+//! exports. Forking a simulator clones its sampler with the partial
+//! series, so the fork continues the series where the original stood.
 //!
 //! A [`TelemetryHub`] aggregates samplers from many short-lived systems
 //! (a campaign sweep constructs thousands): it propagates *ambiently*
@@ -31,11 +32,10 @@ use std::cell::RefCell;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
-use crate::snapshot::{SnapReader, SnapWriter, SnapshotError};
 use crate::time::SimTime;
 
 /// Version tag for the telemetry export formats (CSV header and
-/// OpenMetrics comment) and the sampler's snapshot section.
+/// OpenMetrics comment).
 pub const TELEMETRY_SCHEMA: u32 = 1;
 
 /// Bucketing parameters for a [`TelemetrySampler`].
@@ -275,44 +275,6 @@ impl TelemetrySampler {
         out.push_str("# EOF\n");
         out
     }
-
-    // ------------------------------------------------------------------
-    // snapshot codec
-    // ------------------------------------------------------------------
-
-    /// Append this sampler to an in-progress snapshot frame.
-    pub fn encode(&self, w: &mut SnapWriter) {
-        w.u64(self.base_bucket_ps);
-        w.u64(self.bucket_ps);
-        w.u64(self.max_buckets as u64);
-        w.seq(self.channels.len());
-        for ch in &self.channels {
-            w.str(&ch.name);
-            w.seq(ch.buckets.len());
-            for &b in &ch.buckets {
-                w.u64(b);
-            }
-        }
-    }
-
-    /// Decode a sampler section written by [`encode`](Self::encode).
-    pub fn decode(r: &mut SnapReader) -> Result<TelemetrySampler, SnapshotError> {
-        let base_bucket_ps = r.u64()?.max(1);
-        let bucket_ps = r.u64()?.max(1);
-        let max_buckets = (r.u64()? as usize).max(2);
-        let n = r.seq(2, "telemetry channel")?;
-        let mut channels = Vec::with_capacity(n);
-        for _ in 0..n {
-            let name = r.str()?.to_string();
-            let len = r.seq(8, "telemetry bucket")?;
-            let mut buckets = Vec::with_capacity(len);
-            for _ in 0..len {
-                buckets.push(r.u64()?);
-            }
-            channels.push(Channel { name, buckets });
-        }
-        Ok(TelemetrySampler { base_bucket_ps, bucket_ps, max_buckets, channels })
-    }
 }
 
 /// Render simulated picoseconds as an OpenMetrics timestamp in seconds,
@@ -485,24 +447,6 @@ mod tests {
         }
         assert!(s.len() <= 16, "len={}", s.len());
         assert_eq!(s.channel_total("b"), 100_000);
-    }
-
-    #[test]
-    fn snapshot_roundtrip_is_identity() {
-        let mut s = TelemetrySampler::new(TelemetryConfig { bucket_ps: 50, max_buckets: 8 });
-        s.record("a", ps(10), 3);
-        s.record_span("b", ps(0), ps(333));
-        let mut w = SnapWriter::new(TELEMETRY_SCHEMA);
-        s.encode(&mut w);
-        let frame = w.finish();
-        let (_, mut r) = SnapReader::open(&frame).unwrap();
-        let back = TelemetrySampler::decode(&mut r).unwrap();
-        r.expect_end().unwrap();
-        assert_eq!(back, s);
-        // Re-encode is byte-identical.
-        let mut w2 = SnapWriter::new(TELEMETRY_SCHEMA);
-        back.encode(&mut w2);
-        assert_eq!(w2.finish(), frame);
     }
 
     #[test]

@@ -10,7 +10,6 @@
 //! rows, so revisits hit open rows.
 
 use crate::addr::LineAddr;
-use hswx_engine::snapshot::{SnapReader, SnapWriter, SnapshotError};
 use hswx_engine::{Booking, SimDuration, SimTime, ThroughputResource};
 use serde::{Deserialize, Serialize};
 
@@ -252,67 +251,6 @@ impl DramChannel {
     pub fn timings(&self) -> &DdrTimings {
         &self.timings
     }
-
-    /// Encode the channel's mutable state (bank rows + busy times, bus
-    /// occupancy, counters) into `w`. See `hswx_engine::snapshot`.
-    pub fn encode_snapshot(&self, w: &mut SnapWriter) {
-        w.seq(self.banks.len());
-        for b in &self.banks {
-            match b.open_row {
-                Some(r) => {
-                    w.bool(true);
-                    w.u64(r);
-                }
-                None => w.bool(false),
-            }
-            w.u64(b.busy_until.0);
-        }
-        let intervals: Vec<(u64, u64)> = self.bus.intervals().collect();
-        w.seq(intervals.len());
-        for (s, e) in intervals {
-            w.u64(s);
-            w.u64(e);
-        }
-        w.u64(self.bus.busy_ps());
-        w.u64(self.bus.total_bytes());
-        for c in [self.hits, self.closed, self.conflicts, self.reads, self.writes] {
-            w.u64(c);
-        }
-    }
-
-    /// Restore state captured by [`encode_snapshot`](Self::encode_snapshot)
-    /// into a channel built with the same timings.
-    pub fn decode_snapshot(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
-        let n_banks = r.seq(9, "dram banks")?;
-        if n_banks != self.banks.len() {
-            return Err(SnapshotError::Corrupt {
-                what: "dram bank count",
-                detail: format!("snapshot has {n_banks} banks, channel has {}", self.banks.len()),
-            });
-        }
-        let mut banks = Vec::with_capacity(n_banks);
-        for _ in 0..n_banks {
-            let open_row = if r.bool()? { Some(r.u64()?) } else { None };
-            banks.push(Bank { open_row, busy_until: SimTime(r.u64()?) });
-        }
-        let n_iv = r.seq(16, "dram bus intervals")?;
-        let mut intervals = Vec::with_capacity(n_iv);
-        for _ in 0..n_iv {
-            intervals.push((r.u64()?, r.u64()?));
-        }
-        let busy_ps = r.u64()?;
-        let bytes = r.u64()?;
-        self.bus
-            .restore_state(intervals, busy_ps, bytes)
-            .map_err(|detail| SnapshotError::Corrupt { what: "dram bus occupancy", detail })?;
-        self.banks = banks;
-        self.hits = r.u64()?;
-        self.closed = r.u64()?;
-        self.conflicts = r.u64()?;
-        self.reads = r.u64()?;
-        self.writes = r.u64()?;
-        Ok(())
-    }
 }
 
 /// A socket's memory controller front end: several interleaved channels.
@@ -388,30 +326,6 @@ impl MemoryController {
     /// Shared access to the underlying channels (stats, tests).
     pub fn channels(&self) -> &[DramChannel] {
         &self.channels
-    }
-
-    /// Encode every channel's state into `w`.
-    pub fn encode_snapshot(&self, w: &mut SnapWriter) {
-        w.seq(self.channels.len());
-        for c in &self.channels {
-            c.encode_snapshot(w);
-        }
-    }
-
-    /// Restore state captured by [`encode_snapshot`](Self::encode_snapshot)
-    /// into a controller of the same channel count and timings.
-    pub fn decode_snapshot(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
-        let n = r.seq(1, "dram channels")?;
-        if n != self.channels.len() {
-            return Err(SnapshotError::Corrupt {
-                what: "dram channel count",
-                detail: format!("snapshot has {n} channels, controller has {}", self.channels.len()),
-            });
-        }
-        for c in &mut self.channels {
-            c.decode_snapshot(r)?;
-        }
-        Ok(())
     }
 }
 
@@ -553,35 +467,6 @@ mod tests {
         let (t_r, o) = c.access(t_w, LineAddr(2), false);
         assert_eq!(o, RowOutcome::Hit);
         assert!(t_r.as_ns() - t_w.as_ns() >= 14.0, "wr gap {}", t_r.as_ns() - t_w.as_ns());
-    }
-
-    #[test]
-    fn snapshot_round_trip_continues_identically() {
-        use hswx_engine::snapshot::{SnapReader, SnapWriter};
-        let mut a = MemoryController::new(4, DdrTimings::ddr4_2133());
-        let mut now = SimTime::ZERO;
-        for i in 0..500u64 {
-            let (t, _) = a.access(now, LineAddr(i * 37 % 4096), i % 5 == 0);
-            now = t;
-        }
-        let mut w = SnapWriter::new(1);
-        a.encode_snapshot(&mut w);
-        let frame = w.finish();
-        let mut b = MemoryController::new(4, DdrTimings::ddr4_2133());
-        let mut r = SnapReader::open_expecting(&frame, 1).unwrap();
-        b.decode_snapshot(&mut r).unwrap();
-        r.expect_end().unwrap();
-        assert_eq!(a.totals(), b.totals());
-        // Same accesses from here on produce identical times and outcomes.
-        for i in 0..200u64 {
-            let line = LineAddr(i * 53 % 4096);
-            assert_eq!(
-                a.access(now, line, i % 3 == 0),
-                b.access(now, line, i % 3 == 0),
-                "diverged at access {i}"
-            );
-        }
-        assert_eq!(a.totals(), b.totals());
     }
 
     #[test]
