@@ -2,7 +2,7 @@
 //! canonical access class with the exact step sequence the paper's §IV/§VI
 //! describes. These double as regression locks on the walk structure.
 
-use hswx_coherence::DirState;
+use hswx_coherence::{DirState, MesifState};
 use hswx_engine::SimTime;
 use hswx_haswell::{CoherenceMode, ProtoStep, System, SystemConfig};
 use hswx_mem::{CoreId, LineAddr, NodeId};
@@ -85,6 +85,31 @@ fn remote_modified_read_forwards_from_the_peer_core() {
     }));
     assert!(steps.contains(&ProtoStep::PeerForward { node: NodeId(1), from_core: true }));
     assert!(!steps.contains(&ProtoStep::MemoryReply), "data came from the cache");
+}
+
+#[test]
+fn rfo_starts_with_the_ca_lookup() {
+    // A write miss looks the line up in the local L3 first, as a read
+    // miss does.
+    let mut s = sys(CoherenceMode::SourceSnoop);
+    let l = line_on(&s, 0);
+    s.trace_next();
+    let t = s.write(CoreId(0), l, SimTime::ZERO).done;
+    let steps: Vec<ProtoStep> = s.take_trace().into_iter().map(|(_, st)| st).collect();
+    let slice = s.topo.slice_for_line(l, NodeId(0));
+    assert_eq!(steps.first(), Some(&ProtoStep::CaLookup { slice, hit: false }), "{steps:?}");
+
+    // A write to a line the local L3 holds Shared hits there, then
+    // upgrades.
+    let shared = l.offset_lines(1);
+    let t = s.read(CoreId(12), shared, t).done;
+    let t = s.read(CoreId(0), shared, t).done;
+    assert_eq!(s.l3_meta(NodeId(1), shared).map(|m| m.state), Some(MesifState::Shared));
+    s.trace_next();
+    s.write(CoreId(12), shared, t);
+    let steps: Vec<ProtoStep> = s.take_trace().into_iter().map(|(_, st)| st).collect();
+    let slice = s.topo.slice_for_line(shared, NodeId(1));
+    assert_eq!(steps.first(), Some(&ProtoStep::CaLookup { slice, hit: true }), "{steps:?}");
 }
 
 #[test]
