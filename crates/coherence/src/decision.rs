@@ -319,8 +319,8 @@ pub fn dir_after_rfo(requester: NodeId, home: NodeId) -> DirState {
     }
 }
 
-/// Directory state after a dirty writeback (or flush) from `from` retires
-/// the line's last cached copy.
+/// Directory state after the line's cached copies are retired to memory:
+/// a dirty L3 eviction, a flush or a non-temporal store.
 pub fn dir_after_writeback() -> DirState {
     DirState::RemoteInvalid
 }

@@ -8,36 +8,6 @@
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// A monotonically increasing event counter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Counter(pub u64);
-
-impl Counter {
-    /// Increment by one.
-    pub fn inc(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Increment by `n`.
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Current count.
-    pub fn get(&self) -> u64 {
-        self.0
-    }
-
-    /// Fraction of `total` this counter represents (0 if `total` is 0).
-    pub fn fraction_of(&self, total: u64) -> f64 {
-        if total == 0 {
-            0.0
-        } else {
-            self.0 as f64 / total as f64
-        }
-    }
-}
-
 /// Welford online mean / variance / extrema accumulator.
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
 pub struct OnlineStats {
@@ -245,16 +215,6 @@ impl Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_basics() {
-        let mut c = Counter::default();
-        c.inc();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-        assert!((c.fraction_of(10) - 0.5).abs() < 1e-12);
-        assert_eq!(c.fraction_of(0), 0.0);
-    }
 
     #[test]
     fn online_stats_mean_and_variance() {
