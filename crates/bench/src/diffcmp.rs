@@ -57,7 +57,6 @@ pub fn component_of(counter: &str) -> &'static str {
         "read" => "read path",
         "sys" => "walk engine",
         "cancel" => "cancellation",
-        "job" => "job runtime",
         _ => "other",
     }
 }
@@ -278,7 +277,6 @@ mod tests {
             ("core.wc_drain_ps", "core buffers"),
             ("sys.walks", "walk engine"),
             ("cancel.aborts", "cancellation"),
-            ("job.wall_ms", "job runtime"),
             ("mystery.thing", "other"),
         ] {
             assert_eq!(component_of(prefix), expect, "{prefix}");

@@ -259,21 +259,6 @@ fn fig4_wall() -> FigureResult {
     FigureResult { name: "fig4", points, wall_s: t0.elapsed().as_secs_f64() }
 }
 
-/// Run one named kernel with `walks` iterations and return its walks/sec
-/// (hook for the `walks` criterion bench; panics on an unknown name).
-pub fn run_kernel_for_bench(name: &str, walks: u64) -> f64 {
-    let k = match name {
-        "l1_hit_walk" => l1_hit_walk(walks),
-        "l3_walk" => l3_walk(walks),
-        "mem_walk" => mem_walk(walks),
-        "mem_walk_batch" => mem_walk_batch(walks),
-        "placement_l3" => placement_l3(walks),
-        "placement_l3_batch" => placement_l3_batch(walks),
-        other => panic!("unknown perf kernel {other}"),
-    };
-    k.walks_per_sec
-}
-
 /// Run the kernel suite (and, unless `quick`, the figure timing).
 ///
 /// Quick mode runs the *same* kernel measurement at identical iteration

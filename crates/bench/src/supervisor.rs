@@ -368,10 +368,8 @@ impl Supervisor {
                 .telemetry
                 .then(|| Arc::new(TelemetryHub::default()));
             let _telemetry = hub.as_ref().map(|h| TelemetryHub::set_ambient(Arc::clone(h)));
-            let t0 = Instant::now();
             match catch_unwind(AssertUnwindSafe(|| (job.run)(&ctx))) {
                 Ok(out) => {
-                    registry.record("job.wall_ms", t0.elapsed().as_millis() as u64);
                     let sampler =
                         hub.map(|h| h.collect()).filter(|s| !s.is_empty());
                     return Ok((out, attempt + 1, registry.counters_snapshot(), sampler));

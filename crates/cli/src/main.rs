@@ -6,11 +6,9 @@
 //!                [--placer CORE[,CORE…]] [--measurer CORE] [--home NODE]
 //!                [--size BYTES]
 //! hswx bandwidth [same flags] [--width avx|sse] [--write|--write-nt]
-//! hswx replay    FILE [--mode MODE] [--window N]
 //! hswx trace     [latency flags] [--accesses N] [--out FILE]
 //! hswx explain   [latency flags] | explain fig7 [SIZE_KIB] [--fwd N] [--home N]
 //!                | explain diff A B
-//! hswx apps      [--accesses N]
 //! hswx faultcheck [--quick] [--json FILE]
 //! hswx campaign  [--resume] [--time-budget-ms N] [--jobs a,b,..]
 //! hswx perfbench [--quick] [--baseline FILE] [--write-baseline]
@@ -34,10 +32,8 @@ fn main() -> ExitCode {
         "info" => cmds::info(rest),
         "latency" => cmds::latency(rest),
         "bandwidth" => cmds::bandwidth(rest),
-        "replay" => cmds::replay(rest),
         "trace" => cmds::trace(rest),
         "explain" => cmds::explain(rest),
-        "apps" => cmds::apps(rest),
         "faultcheck" => cmds::faultcheck(rest),
         "campaign" => cmds::campaign(rest),
         "perfbench" => cmds::perfbench(rest),

@@ -11,7 +11,7 @@
 
 use crate::system::System;
 use hswx_coherence::DataSource;
-use hswx_engine::{FxHashMap, SimDuration, SimTime, TimedPool};
+use hswx_engine::{SimDuration, SimTime, TimedPool};
 use hswx_mem::{CoreId, LineAddr};
 use serde::{Deserialize, Serialize};
 
@@ -31,10 +31,6 @@ pub struct BandwidthMeasurement {
     pub gb_s: f64,
     /// Lines transferred.
     pub lines: u64,
-    /// Completion time of the last access.
-    pub finished: SimTime,
-    /// Access-class mix.
-    pub by_source: FxHashMap<DataSource, u64>,
 }
 
 struct CoreStream<'a> {
@@ -43,7 +39,6 @@ struct CoreStream<'a> {
     next: usize,
     issue_t: SimTime,
     window: TimedPool,
-    done: SimTime,
 }
 
 /// Spacing between a stream's consecutive line issues, by where the
@@ -179,10 +174,8 @@ fn run_streams(
             next: 0,
             issue_t: t0,
             window: TimedPool::new(wsize),
-            done: t0,
         })
         .collect();
-    let mut by_source: FxHashMap<DataSource, u64> = FxHashMap::default();
     let mut total_lines = 0u64;
     let mut finished = t0;
 
@@ -211,8 +204,6 @@ fn run_streams(
         };
         s.window.occupy_until(out.done);
         s.issue_t = slot + gaps.after(out.source);
-        s.done = s.done.max(out.done);
-        *by_source.entry(out.source).or_insert(0) += 1;
         total_lines += 1;
         finished = finished.max(out.done);
     }
@@ -223,7 +214,7 @@ fn run_streams(
     } else {
         total_lines as f64 * 64.0 / elapsed.as_secs() / 1e9
     };
-    BandwidthMeasurement { gb_s, lines: total_lines, finished, by_source }
+    BandwidthMeasurement { gb_s, lines: total_lines }
 }
 
 #[cfg(test)]

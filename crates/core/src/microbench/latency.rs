@@ -10,7 +10,7 @@
 use crate::batch::{Access, Issue};
 use crate::system::System;
 use hswx_coherence::DataSource;
-use hswx_engine::{DetRng, FxHashMap, Histogram, SimTime};
+use hswx_engine::{DetRng, FxHashMap, SimTime};
 use hswx_mem::{CoreId, LineAddr};
 
 /// Result of one pointer-chase measurement.
@@ -22,10 +22,6 @@ pub struct LatencyMeasurement {
     pub samples: usize,
     /// Where the data came from, per access class.
     pub by_source: FxHashMap<DataSource, u64>,
-    /// Per-access latency distribution (1 ns bins, 0-400 ns) — exposes
-    /// multi-modal behaviour like the HitME-hit vs broadcast split in the
-    /// paper's Figure 7 transition region.
-    pub histogram: Histogram,
     /// Simulation time when the chase finished.
     pub finished: SimTime,
 }
@@ -68,7 +64,6 @@ pub fn pointer_chase(
     let mut t = t0;
     let mut total_ns = 0.0;
     let mut by_source: FxHashMap<DataSource, u64> = FxHashMap::default();
-    let mut histogram = Histogram::latency_ns();
     let mut accs: Vec<Access> = Vec::with_capacity(order.len().min(crate::batch::BATCH_CHUNK));
     for chunk in order.chunks(crate::batch::BATCH_CHUNK) {
         accs.clear();
@@ -82,7 +77,6 @@ pub fn pointer_chase(
             };
             let lat = out.latency_ns(t);
             total_ns += lat;
-            histogram.record(lat);
             *by_source.entry(out.source).or_insert(0) += 1;
             t = out.done; // dependent loads: next issues when data arrives
         }
@@ -91,7 +85,6 @@ pub fn pointer_chase(
         ns_per_access: total_ns / order.len() as f64,
         samples: order.len(),
         by_source,
-        histogram,
         finished: t,
     }
 }
@@ -126,17 +119,6 @@ mod tests {
         let m = pointer_chase(&mut s, CoreId(0), &b.lines, t, 1);
         assert!((m.ns_per_access - 4.8).abs() < 0.05, "{}", m.ns_per_access);
         assert_eq!(m.fraction_from(DataSource::SelfL2), 1.0);
-    }
-
-    #[test]
-    fn histogram_captures_distribution() {
-        let mut s = sys();
-        let b = Buffer::on_node(&s, NodeId(0), 64 * 1024, 0);
-        let t = Placement::exclusive(&mut s, CoreId(0), &b.lines, Level::L2, SimTime::ZERO);
-        let m = pointer_chase(&mut s, CoreId(0), &b.lines, t, 1);
-        assert_eq!(m.histogram.count() as usize, m.samples);
-        let (mode, _) = m.histogram.mode().unwrap();
-        assert!((mode - 4.8).abs() < 1.0, "L2 mode at {mode}");
     }
 
     #[test]

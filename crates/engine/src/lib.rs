@@ -4,8 +4,6 @@
 //!
 //! * [`time`] — picosecond-resolution simulated time ([`SimTime`]) and
 //!   durations ([`SimDuration`]), with exact conversions to core clock cycles.
-//! * [`stats`] — online mean/variance and log-binned histograms
-//!   used by the measurement framework.
 //! * [`resource`] — shared-resource models: a byte-rate serializing
 //!   [`ThroughputResource`] (QPI links, DRAM buses, L3 slice ports) and a
 //!   bounded [`TimedPool`] (line-fill buffers, home-agent trackers).
@@ -24,8 +22,8 @@
 //!   system config digest build on.
 //! * [`trace`] — structured span tracing: ring-buffered [`SpanRecorder`],
 //!   exact per-component latency attribution, Chrome trace-event export.
-//! * [`metrics`] — lock-free named counters/histograms with ambient
-//!   per-thread installation, aggregated per-job by campaign supervisors.
+//! * [`metrics`] — lock-free named counters with ambient per-thread
+//!   installation, aggregated per-job by campaign supervisors.
 //! * [`telemetry`] — bounded-memory simulated-time series: component
 //!   counters bucketed into fixed intervals with deterministic
 //!   downsampling, merged across systems by an ambient [`TelemetryHub`].
@@ -40,7 +38,6 @@ pub mod metrics;
 pub mod resource;
 pub mod rng;
 pub mod snapshot;
-pub mod stats;
 pub mod telemetry;
 pub mod time;
 pub mod trace;
@@ -52,7 +49,6 @@ pub use metrics::MetricsRegistry;
 pub use resource::{Booking, ThroughputResource, TimedPool};
 pub use rng::DetRng;
 pub use snapshot::{SnapReader, SnapWriter, SnapshotError};
-pub use stats::{Histogram, OnlineStats};
 pub use telemetry::{TelemetryConfig, TelemetryHub, TelemetrySampler};
 pub use time::{SimDuration, SimTime, PS_PER_NS};
 pub use trace::{Span, SpanId, SpanRecorder, WalkRecord};

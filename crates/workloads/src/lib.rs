@@ -22,8 +22,6 @@
 
 pub mod proxy;
 pub mod suites;
-pub mod trace;
 
 pub use proxy::{run_proxy, AppProxy, Suite};
 pub use suites::{mpi2007_proxies, omp2012_proxies};
-pub use trace::{replay, ReplayResult, Trace, TraceOp, TraceRecord};
