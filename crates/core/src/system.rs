@@ -1785,13 +1785,17 @@ impl System {
                 if let Some(s2) = self.l2[ci].peek_mut(line) {
                     *s2 = CoreState::Modified;
                 }
-                return Ok(AccessOutcome { done: t + self.costs.l1, source: DataSource::SelfL1 });
+                let out = AccessOutcome { done: t + self.costs.l1, source: DataSource::SelfL1 };
+                self.probe::<TRACED>(Probe::PrivateHit { level: 1 }, t, out.done);
+                return Ok(out);
             }
         } else if let Some(st) = self.l2[ci].access(line) {
             if st.can_write() {
                 *st = CoreState::Modified;
                 self.fill_private(core, line, CoreState::Modified, t);
-                return Ok(AccessOutcome { done: t + self.costs.l2, source: DataSource::SelfL2 });
+                let out = AccessOutcome { done: t + self.costs.l2, source: DataSource::SelfL2 };
+                self.probe::<TRACED>(Probe::PrivateHit { level: 2 }, t, out.done);
+                return Ok(out);
             }
         }
         // Shared hit or miss: needs ownership via the CA.

@@ -33,18 +33,18 @@ const OPS: usize = 1_500;
 const GOLDEN: &[(CoherenceMode, [u64; 6])] = &[
     (
         CoherenceMode::SourceSnoop,
-        [0xD729FD562C598EB9, 0xF39ED60DFC2C74FC, 0xC3EE39AFBD9D51EB, 0xE3A314AB82A49D82,
-         0x234D37A577AC7125, 0x0118F09E2F465825],
+        [0x5729047A04EB8D77, 0xAD8EE638FF69DEC1, 0xC3EE39AFBD9D51EB, 0xE3A314AB82A49D82,
+         0x1E6E3AB6BD53EB24, 0x0118F09E2F465825],
     ),
     (
         CoherenceMode::HomeSnoop,
-        [0x2B727A8130D2E58C, 0xFC4D3CA23FC15736, 0xDE026AC341D1E467, 0x97D5D859527544FE,
-         0xB38EF94FA6041166, 0x1908FF5BEAA8B91F],
+        [0xB650B295ACF1AF1A, 0xA9176647DEA8367F, 0xDE026AC341D1E467, 0x97D5D859527544FE,
+         0x4D221E0D3E4E59B7, 0x1908FF5BEAA8B91F],
     ),
     (
         CoherenceMode::ClusterOnDie,
-        [0x0C82AE47614EB549, 0x717349E8E8848834, 0xE466082FD2DEF0F9, 0x9E7FAE0CE04BEA8B,
-         0x8AE8DB640D828187, 0x1EBDF15F204864CE],
+        [0x6B86931A907D9731, 0x071CB8E940F21BE9, 0xE466082FD2DEF0F9, 0x9E7FAE0CE04BEA8B,
+         0x9F6AAC742EEDB836, 0x1EBDF15F204864CE],
     ),
 ];
 

@@ -122,3 +122,26 @@ fn headline_scenarios_attribute_exactly_in_all_modes() {
         }
     }
 }
+
+/// A store that hits the writer's own L1 or L2 is one `l1_hit` or
+/// `l2_hit` span covering its whole latency, with no gap row.
+#[test]
+fn private_store_hits_attribute_to_the_hit_span() {
+    for mode in MODES {
+        let mut sys = System::new(SystemConfig::e5_2680_v3(mode));
+        let line = sys.topo.numa_base(NodeId(0)).line();
+        let mut t = sys.write(CoreId(0), line, SimTime::ZERO).done;
+        for name in ["l1_hit", "l2_hit"] {
+            if name == "l2_hit" {
+                sys.demote_to_l2(CoreId(0), line);
+            }
+            sys.attach_tracer(SpanRecorder::with_capacity(64));
+            t = sys.write(CoreId(0), line, t).done;
+            let rec = sys.take_tracer().expect("tracer was attached");
+            let walk = rec.walks().next().expect("the store was recorded");
+            let rows = rec.attribution(walk).rows;
+            assert_eq!(rows.len(), 1, "{mode:?} {name}: {rows:?}");
+            assert_eq!((rows[0].name, rows[0].time), (name, walk.latency()), "{mode:?}");
+        }
+    }
+}

@@ -27,6 +27,24 @@ fn l1_hit_is_one_step() {
 }
 
 #[test]
+fn store_hit_in_a_private_cache_is_one_step() {
+    // A store to a line the core holds Modified completes in its own L1,
+    // or in its L2 once the line has left L1, just as a load hit does.
+    let mut s = sys(CoherenceMode::SourceSnoop);
+    let l = line_on(&s, 0);
+    let mut t = s.write(CoreId(0), l, SimTime::ZERO).done;
+    for level in [1, 2] {
+        if level == 2 {
+            s.demote_to_l2(CoreId(0), l);
+        }
+        s.trace_next();
+        t = s.write(CoreId(0), l, t).done;
+        let steps: Vec<ProtoStep> = s.take_trace().into_iter().map(|(_, st)| st).collect();
+        assert_eq!(steps, vec![ProtoStep::PrivateHit { level }]);
+    }
+}
+
+#[test]
 fn cold_local_miss_walks_ca_then_home_then_memory() {
     let mut s = sys(CoherenceMode::SourceSnoop);
     let l = line_on(&s, 0);
