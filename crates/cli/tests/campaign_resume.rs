@@ -117,6 +117,32 @@ fn killed_campaign_resumes_to_identical_artifacts() {
 }
 
 #[test]
+fn resume_refuses_telemetry_before_touching_the_run() {
+    // The journal keeps per-job telemetry totals, not series, so a
+    // resumed run cannot export the complete series.
+    let dir = fresh_dir("telemetry");
+    let base = dir.join("telemetry").display().to_string();
+    let first = hswx()
+        .args(campaign_args(&dir, &["--telemetry", &base]))
+        .output()
+        .expect("spawn campaign");
+    assert!(first.status.success(), "{}", String::from_utf8_lossy(&first.stderr));
+    let names = ["telemetry.csv", "telemetry.om", "campaign.journal", "manifest.txt"];
+    let before: Vec<String> = names.iter().map(|n| read(&dir, n)).collect();
+    let out = hswx()
+        .args(campaign_args(&dir, &["--telemetry", &base, "--resume"]))
+        .output()
+        .expect("spawn resumed campaign");
+    assert!(!out.status.success(), "--resume with --telemetry was accepted");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--resume") && stderr.contains("--telemetry"), "{stderr}");
+    for (name, bytes) in names.iter().zip(&before) {
+        assert_eq!(&read(&dir, name), bytes, "{name} changed");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn campaign_exits_nonzero_when_a_job_fails() {
     // An unknown job id is an environmental error, reported before any
     // job runs.
