@@ -1,15 +1,13 @@
-//! Mid-job checkpoint store: crash-safe memoization of per-sweep-point
-//! results.
+//! Mid-job checkpoint store: crash-safe memoization of measured cells.
 //!
-//! The supervisor's journal is whole-job: a campaign killed mid-sweep used
-//! to rerun the entire job from scratch on resume. A [`CheckpointStore`]
-//! closes that gap. Jobs record each independently-computed sweep point
-//! (keyed by a caller-chosen FNV key covering the series label, sweep
-//! coordinate, and config digest) as soon as it is known; the store
-//! persists the full map as one `hswx-engine` frame (`SnapWriter`) via
-//! `atomic_write`, so a kill -9 at any instant leaves either the previous
-//! checkpoint or the new one — never a torn file. Checkpoints hold
-//! results, never simulator state: a resumed job rebuilds its systems.
+//! The supervisor's journal is whole-job; a [`CheckpointStore`] lets a
+//! killed job resume mid-job. The cell runner ([`crate::jobs::JobSpec::run`])
+//! records each cell as soon as it is measured, keyed by (artifact, row,
+//! column, reference config digest); the store persists the full map as
+//! one `hswx-engine` frame (`SnapWriter`) via `atomic_write`, so a kill -9
+//! at any instant leaves either the previous checkpoint or the new one —
+//! never a torn file. Checkpoints hold results, never simulator state: a
+//! resumed job rebuilds its systems.
 //!
 //! Checkpointed values are **bit-exact** (`f64` payloads travel as raw
 //! bits), so a resumed job emits artifacts byte-identical to an
@@ -24,7 +22,8 @@ use std::sync::Mutex;
 
 /// Frame schema for checkpoint files (distinct from the config digest's
 /// schema word so the two frames can never be confused for one another).
-pub const CHECKPOINT_SCHEMA: u32 = 0x6350_0001;
+/// Version 2: each key is a cell id plus the reference config digest.
+pub const CHECKPOINT_SCHEMA: u32 = 0x6350_0002;
 
 /// Crash-safe `key -> f64` memo backed by one framed file.
 #[derive(Debug)]
@@ -46,8 +45,8 @@ impl CheckpointStore {
         CheckpointStore { path, fsync, entries: Mutex::new(entries) }
     }
 
-    /// Derive a checkpoint key from identity `parts` (series label, sweep
-    /// coordinate, config digest, ...). Parts are length-delimited, so
+    /// Derive a checkpoint key from identity `parts` (artifact, row,
+    /// column, config digest, ...). Parts are length-delimited, so
     /// `["ab","c"]` and `["a","bc"]` never collide.
     pub fn key(parts: &[&[u8]]) -> u64 {
         let mut h = fnv1a64(b"hswx-checkpoint-key-v1");
@@ -65,18 +64,17 @@ impl CheckpointStore {
     }
 
     /// Record `value` under `key` and persist the whole store atomically.
-    /// Persistence failures are swallowed: a checkpoint is an optimization,
-    /// never worth failing the job over.
+    /// The write happens under the lock: `atomic_write`'s temp name is per
+    /// process, so two unlocked writers could rename an older frame over a
+    /// newer one. Persistence failures are swallowed: a checkpoint is an
+    /// optimization, never worth failing the job over.
     pub fn record(&self, key: u64, value: f64) {
-        let frame = {
-            let mut entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
-            entries.insert(key, value.to_bits());
-            Self::encode(&entries)
-        };
-        let _ = atomic_write(&self.path, &frame, self.fsync);
+        let mut entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
+        entries.insert(key, value.to_bits());
+        let _ = atomic_write(&self.path, &Self::encode(&entries), self.fsync);
     }
 
-    /// Number of recorded sweep points.
+    /// Number of recorded cells.
     pub fn len(&self) -> usize {
         self.entries.lock().unwrap_or_else(|e| e.into_inner()).len()
     }
@@ -126,6 +124,7 @@ impl CheckpointStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Barrier;
 
     fn tmp(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("hswx-ckpt-{tag}-{}", std::process::id()))
@@ -176,6 +175,21 @@ mod tests {
         assert!(CheckpointStore::open(path.clone(), false).is_empty());
         good.discard();
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn concurrent_records_all_survive_a_reopen() {
+        let path = tmp("concurrent");
+        for round in 0..100 {
+            let (store, barrier) = (CheckpointStore::open(path.clone(), false), Barrier::new(2));
+            std::thread::scope(|s| {
+                for _ in 0..2 {
+                    s.spawn(|| store.record(barrier.wait().is_leader() as u64, 1.0));
+                }
+            });
+            assert_eq!(CheckpointStore::open(path.clone(), false).len(), 2, "round {round}");
+            store.discard();
+        }
     }
 
     #[test]

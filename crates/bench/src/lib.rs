@@ -18,5 +18,4 @@ pub mod supervisor;
 
 pub use anchors::{bandwidth_anchors, latency_anchors, Anchor};
 pub use jobs::{JobCtx, JobOutput, JobSpec};
-pub use parallel::parallel_map;
 pub use supervisor::{select_jobs, CampaignSummary, Supervisor, SupervisorConfig};

@@ -229,59 +229,6 @@ pub fn aggregate_write(
     stream_write_multi(&mut sys, &streams, LoadWidth::Avx256, SimTime::ZERO).gb_s
 }
 
-/// Latency curve over data-set sizes: placement level follows capacity
-/// (the paper's size-sweep methodology — Figures 4–7).
-pub fn latency_curve(
-    mode: CoherenceMode,
-    placers: &[CoreId],
-    state: PlacedState,
-    home: NodeId,
-    measurer: CoreId,
-    sizes: &[u64],
-) -> Vec<(f64, f64)> {
-    crate::parallel::parallel_map(sizes.to_vec(), |&size| {
-        let level = level_of(mode, size);
-        let ns = LatencyScenario {
-            mode,
-            placers: placers.to_vec(),
-            state,
-            level,
-            home,
-            measurer,
-            size: Some(size),
-        }
-        .run();
-        (size as f64, ns)
-    })
-}
-
-/// Bandwidth curve over data-set sizes (Figures 8/9).
-pub fn bandwidth_curve(
-    mode: CoherenceMode,
-    placers: &[CoreId],
-    state: PlacedState,
-    home: NodeId,
-    measurer: CoreId,
-    width: LoadWidth,
-    sizes: &[u64],
-) -> Vec<(f64, f64)> {
-    crate::parallel::parallel_map(sizes.to_vec(), |&size| {
-        let level = level_of(mode, size);
-        let gbs = BandwidthScenario {
-            mode,
-            placers: placers.to_vec(),
-            state,
-            level,
-            home,
-            measurer,
-            width,
-            size: Some(size),
-        }
-        .run();
-        (size as f64, gbs)
-    })
-}
-
 /// The cache level a data set of `size` bytes lands in, per mode.
 ///
 /// Same thresholds as [`Placement::level_for_size`], answered from the

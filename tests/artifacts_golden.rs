@@ -14,7 +14,7 @@ fn assert_matches_committed(id: &str) {
         .into_iter()
         .find(|j| j.id == id)
         .unwrap_or_else(|| panic!("no registered job `{id}`"));
-    let out = (job.run)(&JobCtx::default());
+    let out = job.run(&JobCtx::default(), None);
     let results = Path::new(env!("CARGO_MANIFEST_DIR")).join("results");
     let mut csvs = 0;
     for (name, body) in out.files.iter().filter(|(name, _)| name.ends_with(".csv")) {
