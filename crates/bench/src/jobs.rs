@@ -1,25 +1,24 @@
 //! Campaign job registry: every figure, table and log under `results/`
 //! as a supervised job built from addressable cells.
 //!
-//! Each [`JobSpec`] names its artifact, the jobs it depends on, and a
-//! builder that lists the job's [`Cells`] — measured values with stable
-//! (artifact, row label, column) ids — and formats its files from their
-//! values. [`JobSpec::run`] is the one cell runner. `hswx campaign` is the
-//! one way to regenerate the paper's evaluation: each job writes its CSV
-//! files (the bytes committed under `results/`) and an aligned-text
-//! `<id>.txt`.
+//! Each [`JobSpec`] names its artifact and a builder that lists the job's
+//! [`Cells`] — measured values with stable (artifact, row label, column)
+//! ids — and formats its files from their values. [`JobSpec::run`] is the
+//! one cell runner. `hswx campaign` is the one way to regenerate the
+//! paper's evaluation: each job writes its CSV files (the bytes committed
+//! under `results/`) and an aligned-text `<id>.txt`.
 //!
 //! Artifacts that measure the same thing share one function: the
 //! size-sweep figures (Figs. 4–6 latency, 8–9 bandwidth) go through
 //! `sweep_figure`, Tables III and VI through `mode_matrix`, Tables IV and
-//! V (and Fig. 7's placements) through `cod_shared`, and the aggregate-L3
+//! V (and Fig. 7's placements) through [`cod_shared`], and the aggregate-L3
 //! results (§VII-B scaling, the uncore ablation) through `l3_aggregate`.
 
-use crate::anchors::{bandwidth_anchors, latency_anchors};
+use crate::anchors::{bandwidth_cases, latency_cases, measure};
 use crate::checkpoint::CheckpointStore;
 use crate::scenarios::{
-    aggregate_read, aggregate_write, first_core_of, level_of, nth_core_of, size_for_level,
-    BandwidthScenario, LatencyScenario,
+    aggregate_read, aggregate_write, cod_shared, first_core_of, level_of, nth_core_of,
+    size_for_level, BandwidthScenario, LatencyScenario,
 };
 use hswx_engine::SimTime;
 use hswx_haswell::microbench::{
@@ -35,14 +34,6 @@ use hswx_haswell::{System, SystemConfig};
 use hswx_mem::{CoreId, LineAddr, NodeId, Replacement};
 use hswx_workloads::{mpi2007_proxies, omp2012_proxies, run_proxy};
 use std::fmt::Write as _;
-
-/// Per-attempt context the supervisor hands each job.
-#[derive(Debug, Clone, Default)]
-pub struct JobCtx {
-    /// The campaign's time budget is exhausted: shed work (fewer sweep
-    /// points) and mark the artifact as degraded instead of dying.
-    pub degraded: bool,
-}
 
 /// Files a job produced: `(file name, contents)` pairs. The supervisor
 /// writes each atomically under the output directory and digests them
@@ -124,12 +115,10 @@ impl Cells {
 pub struct JobSpec {
     /// Stable identifier: the journal key and artifact file stem.
     pub id: &'static str,
-    /// Jobs that must complete before this one may start.
-    pub deps: &'static [&'static str],
     /// Lists the job's cells and formats its files from their values.
     /// Deterministic, and measures nothing outside its cells: every cell
     /// builds fresh simulators and touches no shared state.
-    pub build: fn(&JobCtx, &mut Cells) -> JobOutput,
+    pub build: fn(&mut Cells) -> JobOutput,
 }
 
 impl JobSpec {
@@ -140,9 +129,9 @@ impl JobSpec {
     /// an uninterrupted one. A job without cells is built by the first
     /// call. Panics, after every other group has finished, when a group
     /// panics.
-    pub fn run(&self, ctx: &JobCtx, store: Option<&CheckpointStore>) -> JobOutput {
+    pub fn run(&self, store: Option<&CheckpointStore>) -> JobOutput {
         let mut cells = Cells::default();
-        let listed = (self.build)(ctx, &mut cells);
+        let listed = (self.build)(&mut cells);
         if cells.groups.is_empty() {
             return listed;
         }
@@ -169,7 +158,7 @@ impl JobSpec {
             g.values = v.expect("every group without a failure has values");
         }
         cells.answered = Some(0);
-        (self.build)(ctx, &mut cells)
+        (self.build)(&mut cells)
     }
 }
 
@@ -179,41 +168,39 @@ pub(crate) fn reference_digest() -> u64 {
     SystemConfig::e5_2680_v3(SourceSnoop).digest()
 }
 
-/// The registered campaign jobs, one per artifact under `results/`. The
-/// spec tables cross-check the simulated configuration against the
-/// paper's test system, so every simulation starts only once table2, that
-/// cross-check artifact, exists.
+/// The registered campaign jobs, one per artifact under `results/`, in
+/// the order the campaign runs them.
 pub fn registry() -> Vec<JobSpec> {
-    fn sim(id: &'static str, build: fn(&JobCtx, &mut Cells) -> JobOutput) -> JobSpec {
-        JobSpec { id, deps: &["table2"], build }
+    fn job(id: &'static str, build: fn(&mut Cells) -> JobOutput) -> JobSpec {
+        JobSpec { id, build }
     }
     vec![
-        JobSpec { id: "table1", deps: &[], build: |_, _| table1().into() },
-        JobSpec { id: "table2", deps: &[], build: |_, _| table2().into() },
-        sim("fig4", fig4),
-        sim("fig5", fig5),
-        sim("fig6", fig6),
-        sim("fig7", |_, m| fig7(m)),
-        sim("table3", |_, m| table3(m).into()),
-        sim("table4", |_, m| cod_shared_grid(m, "table4", Level::L3, 4 << 20).into()),
-        sim("table5", |_, m| cod_shared_grid(m, "table5", Level::Memory, 32 << 20).into()),
-        sim("fig8", fig8),
-        sim("fig9", fig9),
-        sim("table6", |_, m| table6(m).into()),
-        sim("table7", |_, m| table7(m).into()),
-        sim("table8", |_, m| table8(m).into()),
-        sim("l3scaling", |_, m| l3scaling(m).into()),
-        sim("fig10", |_, m| fig10(m).into()),
-        sim("calibrate", |_, _| calibrate()),
-        sim("ablate_hitme", |_, m| ablate_hitme(m).into()),
-        sim("ablate_directory", |_, m| ablate_directory(m).into()),
-        sim("ablate_prefetch", |_, m| ablate_prefetch(m).into()),
-        sim("ablate_rings", |_, m| ablate_rings(m).into()),
-        sim("ablate_nt", |_, m| ablate_nt(m).into()),
-        sim("ablate_replacement", |_, m| ablate_replacement(m).into()),
-        sim("ablate_uncore", |_, m| ablate_uncore(m).into()),
-        sim("skus", |_, m| skus(m).into()),
-        sim("sockets", |_, m| sockets(m).into()),
+        job("table1", |_| table1().into()),
+        job("table2", |_| table2().into()),
+        job("fig4", fig4),
+        job("fig5", fig5),
+        job("fig6", fig6),
+        job("fig7", fig7),
+        job("table3", |m| table3(m).into()),
+        job("table4", |m| cod_shared_grid(m, "table4", Level::L3, 4 << 20).into()),
+        job("table5", |m| cod_shared_grid(m, "table5", Level::Memory, 32 << 20).into()),
+        job("fig8", fig8),
+        job("fig9", fig9),
+        job("table6", |m| table6(m).into()),
+        job("table7", |m| table7(m).into()),
+        job("table8", |m| table8(m).into()),
+        job("l3scaling", |m| l3scaling(m).into()),
+        job("fig10", |m| fig10(m).into()),
+        job("calibrate", calibrate),
+        job("ablate_hitme", |m| ablate_hitme(m).into()),
+        job("ablate_directory", |m| ablate_directory(m).into()),
+        job("ablate_prefetch", |m| ablate_prefetch(m).into()),
+        job("ablate_rings", |m| ablate_rings(m).into()),
+        job("ablate_nt", |m| ablate_nt(m).into()),
+        job("ablate_replacement", |m| ablate_replacement(m).into()),
+        job("ablate_uncore", |m| ablate_uncore(m).into()),
+        job("skus", |m| skus(m).into()),
+        job("sockets", |m| sockets(m).into()),
     ]
 }
 
@@ -320,38 +307,30 @@ fn stream(c: &Curve, size: u64) -> f64 {
     BandwidthScenario { mode, placers, state, level, home, measurer, width, size: Some(size) }.run()
 }
 
-/// A size-sweep figure: one cell per curve and size of [`sweep_sizes`]
-/// (every 4th size when degraded).
+/// A size-sweep figure: one cell per curve and size of [`sweep_sizes`].
 fn sweep_figure(
-    ctx: &JobCtx,
     m: &mut Cells,
     id: &str,
     y_unit: &str,
     measure: fn(&Curve, u64) -> f64,
     curves: Vec<Curve>,
 ) -> JobOutput {
-    let all = sweep_sizes();
-    let sizes: Vec<u64> = if ctx.degraded { all.iter().copied().step_by(4).collect() } else { all };
     let mut fig = Figure::new(id, y_unit);
     for c in curves {
         let mut s = Series::new(c.label);
-        for &size in &sizes {
+        for size in sweep_sizes() {
             let c = c.clone();
             s.push(size as f64, m.cell(id, c.label, size, move || measure(&c, size)));
         }
         fig.add(s);
     }
-    let mut text = fig.to_text();
-    if ctx.degraded {
-        text.push_str("# degraded: sweep reduced to every 4th size (time budget exhausted)\n");
-    }
-    JobOutput::artifact(id, text, fig.csv_body())
+    fig.into()
 }
 
 /// Paper Figure 4: memory read latency vs data-set size in the default
 /// (source snoop) configuration — local hierarchy, another core in the
 /// same NUMA node, and the other socket, for M/E/S cache lines.
-fn fig4(ctx: &JobCtx, m: &mut Cells) -> JobOutput {
+fn fig4(m: &mut Cells) -> JobOutput {
     let c = CoreId;
     let src = |label, placers: &[CoreId], state, home| {
         Curve::new(label, SourceSnoop, placers, state, home, c(0))
@@ -369,12 +348,12 @@ fn fig4(ctx: &JobCtx, m: &mut Cells) -> JobOutput {
         src("remote E", &[c(12)], Exclusive, 1),
         src("remote S", &[c(12), c(13)], Shared, 1),
     ];
-    sweep_figure(ctx, m, "fig4", "ns per load", chase, curves)
+    sweep_figure(m, "fig4", "ns per load", chase, curves)
 }
 
 /// Paper Figure 5: source snoop vs home snoop read latency for
 /// exclusive-state data (local hierarchy, remote cache, and memory).
-fn fig5(ctx: &JobCtx, m: &mut Cells) -> JobOutput {
+fn fig5(m: &mut Cells) -> JobOutput {
     let c = CoreId;
     let e = |label, mode, placer, home| Curve::new(label, mode, &[placer], Exclusive, home, c(0));
     let curves = vec![
@@ -383,13 +362,13 @@ fn fig5(ctx: &JobCtx, m: &mut Cells) -> JobOutput {
         e("source remote", SourceSnoop, c(12), 1),
         e("home   remote", HomeSnoop, c(12), 1),
     ];
-    sweep_figure(ctx, m, "fig5", "ns per load", chase, curves)
+    sweep_figure(m, "fig5", "ns per load", chase, curves)
 }
 
 /// Paper Figure 6: read latency in Cluster-on-Die mode — local, within
 /// the NUMA node, the other on-chip node (1 hop), and the remote socket's
 /// nodes at 1/2/3 hops, for Modified and Exclusive lines.
-fn fig6(ctx: &JobCtx, m: &mut Cells) -> JobOutput {
+fn fig6(m: &mut Cells) -> JobOutput {
     let n0 = first_core_of(ClusterOnDie, 0);
     let n0b = nth_core_of(ClusterOnDie, 0, 1);
     let [n1, n2, n3] = [1, 2, 3].map(|n| first_core_of(ClusterOnDie, n));
@@ -409,14 +388,14 @@ fn fig6(ctx: &JobCtx, m: &mut Cells) -> JobOutput {
         cod("3hops M", n3, Modified, 3, n1),
         cod("3hops E", n3, Exclusive, 3, n1),
     ];
-    sweep_figure(ctx, m, "fig6", "ns per load", chase, curves)
+    sweep_figure(m, "fig6", "ns per load", chase, curves)
 }
 
 /// Paper Figure 8: single-threaded memory read bandwidth vs data-set size
 /// in the default configuration — AVX vs SSE loads on the local
 /// hierarchy, plus core-to-core and cross-socket transfers for Modified
 /// and Exclusive lines.
-fn fig8(ctx: &JobCtx, m: &mut Cells) -> JobOutput {
+fn fig8(m: &mut Cells) -> JobOutput {
     let c = CoreId;
     let src =
         |label, placer, state, home| Curve::new(label, SourceSnoop, &[placer], state, home, c(0));
@@ -428,7 +407,7 @@ fn fig8(ctx: &JobCtx, m: &mut Cells) -> JobOutput {
         src("remote M", c(12), Modified, 1),
         src("remote E", c(12), Exclusive, 1),
     ];
-    sweep_figure(ctx, m, "fig8", "GB/s", stream, curves)
+    sweep_figure(m, "fig8", "GB/s", stream, curves)
 }
 
 /// Paper Figure 9: single-threaded read bandwidth for *shared* cache
@@ -436,7 +415,7 @@ fn fig8(ctx: &JobCtx, m: &mut Cells) -> JobOutput {
 /// private-cache hits run at full speed; when it lives in the other
 /// socket, every L1/L2 hit is throttled to L3 bandwidth by the
 /// forward-state reclaim notification the paper deduces in §VI-C/§VII-A.
-fn fig9(ctx: &JobCtx, m: &mut Cells) -> JobOutput {
+fn fig9(m: &mut Cells) -> JobOutput {
     let c = CoreId;
     let shared = |label, placers: &[CoreId], home| {
         Curve::new(label, SourceSnoop, placers, Shared, home, c(0))
@@ -449,24 +428,7 @@ fn fig9(ctx: &JobCtx, m: &mut Cells) -> JobOutput {
         // Shared data homed and forwarded entirely in the remote socket.
         shared("shared, remote L3", &[c(12), c(13)], 1),
     ];
-    sweep_figure(ctx, m, "fig9", "GB/s", stream, curves)
-}
-
-/// A COD-mode read from node 0's first core of `size` bytes homed in
-/// node `h`, shared by the home node's first core and a forward-copy
-/// holder in node `f` (the home node's second core when `f == h`), left
-/// in `level`.
-fn cod_shared(f: u8, h: u8, level: Level, size: u64) -> LatencyScenario {
-    let fwd = if f == h { nth_core_of(ClusterOnDie, h, 1) } else { first_core_of(ClusterOnDie, f) };
-    LatencyScenario {
-        mode: ClusterOnDie,
-        placers: vec![first_core_of(ClusterOnDie, h), fwd],
-        state: Shared,
-        level,
-        home: NodeId(h),
-        measurer: first_core_of(ClusterOnDie, 0),
-        size: Some(size),
-    }
+    sweep_figure(m, "fig9", "GB/s", stream, curves)
 }
 
 /// Paper Figure 7: COD-mode reads from node 0 to data shared by two
@@ -761,13 +723,13 @@ fn fig10(m: &mut Cells) -> Table {
 }
 
 /// Calibration report: every paper anchor vs the simulator, with the
-/// worst relative error per suite.
-fn calibrate() -> JobOutput {
+/// worst relative error per suite. Each anchor is one cell.
+fn calibrate(m: &mut Cells) -> JobOutput {
     let mut log = String::new();
-    for (section, anchors) in [
-        ("latency anchors (ns)", latency_anchors()),
-        ("bandwidth anchors (GB/s)", bandwidth_anchors()),
-    ] {
+    for (section, cases) in
+        [("latency anchors (ns)", latency_cases()), ("bandwidth anchors (GB/s)", bandwidth_cases())]
+    {
+        let anchors = measure(cases, |name, s| m.cell("calibrate", name, "sim", s));
         let _ = writeln!(log, "== {section} ==");
         let _ = writeln!(log, "{:<38} {:>9} {:>9} {:>8}", "scenario", "paper", "sim", "err%");
         for a in &anchors {
@@ -1069,4 +1031,26 @@ fn sockets(m: &mut Cells) -> Table {
         }
     }
     t
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::BTreeSet;
+
+    #[test]
+    fn registry_ids_are_unique() {
+        let jobs = registry();
+        let ids: BTreeSet<&str> = jobs.iter().map(|j| j.id).collect();
+        assert_eq!(ids.len(), jobs.len(), "duplicate job id in {ids:?}");
+        // Within a job, cell ids key the checkpoint, so they are unique too
+        // (calibrate's are its anchors' names). Listing measures nothing.
+        for job in &jobs {
+            let mut cells = Cells::default();
+            (job.build)(&mut cells);
+            let ids: BTreeSet<&CellId> = cells.groups.iter().flat_map(|g| &g.ids).collect();
+            let listed: usize = cells.groups.iter().map(|g| g.ids.len()).sum();
+            assert_eq!(ids.len(), listed, "duplicate cell id in job `{}`", job.id);
+        }
+    }
 }

@@ -17,5 +17,5 @@ pub mod scenarios;
 pub mod supervisor;
 
 pub use anchors::{bandwidth_anchors, latency_anchors, Anchor};
-pub use jobs::{JobCtx, JobOutput, JobSpec};
+pub use jobs::{JobOutput, JobSpec};
 pub use supervisor::{select_jobs, CampaignSummary, Supervisor, SupervisorConfig};

@@ -237,7 +237,7 @@ fn fig4_wall() -> FigureResult {
     let jobs = crate::jobs::registry();
     let fig4 = jobs.iter().find(|j| j.id == "fig4").expect("fig4 is registered");
     let t0 = Instant::now();
-    let out = fig4.run(&crate::jobs::JobCtx::default(), None);
+    let out = fig4.run(None);
     let (_, csv) =
         out.files.iter().find(|(name, _)| name == "fig4.csv").expect("fig4 writes fig4.csv");
     let points = csv.lines().count().saturating_sub(1); // minus the header

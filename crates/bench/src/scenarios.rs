@@ -247,6 +247,24 @@ pub fn level_of(mode: CoherenceMode, size: u64) -> Level {
     }
 }
 
+/// A COD-mode read from node 0's first core of `size` bytes homed in
+/// node `h`, shared by the home node's first core and a forward-copy
+/// holder in node `f` (the home node's second core when `f == h`), left
+/// in `level`: the placement of Fig. 7 and Tables IV and V.
+pub fn cod_shared(f: u8, h: u8, level: Level, size: u64) -> LatencyScenario {
+    use CoherenceMode::ClusterOnDie;
+    let fwd = if f == h { nth_core_of(ClusterOnDie, h, 1) } else { first_core_of(ClusterOnDie, f) };
+    LatencyScenario {
+        mode: ClusterOnDie,
+        placers: vec![first_core_of(ClusterOnDie, h), fwd],
+        state: PlacedState::Shared,
+        level,
+        home: NodeId(h),
+        measurer: first_core_of(ClusterOnDie, 0),
+        size: Some(size),
+    }
+}
+
 /// Convenience: first core of a node in the given mode.
 pub fn first_core_of(mode: CoherenceMode, node: u8) -> CoreId {
     let sys_cfg = SystemConfig::e5_2680_v3(mode);

@@ -1,9 +1,8 @@
-//! Supervised campaign runtime: dependency-aware job queue with watchdog
-//! deadlines, bounded retry, crash-safe journaling, and time-budget
-//! degradation.
+//! Supervised campaign runtime: watchdog deadlines, bounded retry and
+//! crash-safe journaling around each job.
 //!
-//! The [`Supervisor`] runs [`JobSpec`]s one at a time in dependency order
-//! through the cell runner ([`JobSpec::run`]), whose pool is the
+//! The [`Supervisor`] runs [`JobSpec`]s in full, one at a time in the order
+//! given, through the cell runner ([`JobSpec::run`]), whose pool is the
 //! campaign's one level of parallelism. Around each job attempt it
 //! installs an ambient [`CancelToken`] carrying the per-job wall-clock
 //! deadline; the simulator walk loop polls that token, so a wedged cell
@@ -21,17 +20,11 @@
 //! killed at any instant therefore leaves only (a) fully written
 //! artifacts it had journaled and (b) invisible temp files; `--resume`
 //! replays the journal, re-verifies each digest against the bytes on
-//! disk, and skips exactly the jobs that fully committed (a degraded one
-//! only when the resumed run is itself `force_degraded`), and keeps the
+//! disk, skips exactly the jobs that fully committed, and keeps the
 //! entries of jobs outside the run.
-//!
-//! When a time budget is set and exhausted, remaining jobs still run but
-//! in *degraded* mode: they shed sweep repetitions and their artifacts
-//! and journal entries are marked degraded, preferring a partial result
-//! over no result.
 
 use crate::checkpoint::CheckpointStore;
-use crate::jobs::{reference_digest, JobCtx, JobOutput, JobSpec};
+use crate::jobs::{reference_digest, JobOutput, JobSpec};
 use crate::parallel::panic_message;
 use hswx_engine::{
     atomic_write, fnv1a64, fnv1a64_extend, CancelToken, MetricsRegistry, TelemetryHub,
@@ -42,10 +35,10 @@ use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// First line of every journal, bumped on format changes.
-const JOURNAL_MAGIC: &str = "hswx-campaign v2";
+const JOURNAL_MAGIC: &str = "hswx-campaign v3";
 
 /// Supervisor policy knobs.
 #[derive(Debug, Clone)]
@@ -62,12 +55,6 @@ pub struct SupervisorConfig {
     pub max_attempts: u32,
     /// Per-job wall-clock watchdog deadline.
     pub job_deadline: Option<Duration>,
-    /// Campaign-level time budget: once exceeded, remaining jobs run
-    /// degraded instead of being dropped.
-    pub time_budget: Option<Duration>,
-    /// Force degraded mode from the start (deterministic shedding, used
-    /// by smoke runs and tests).
-    pub force_degraded: bool,
     /// Sample simulated-time telemetry during every job (an ambient
     /// [`TelemetryHub`] per attempt). Per-channel totals land in the
     /// journal and manifest; the merged series is available from
@@ -85,8 +72,6 @@ impl Default for SupervisorConfig {
             fsync: false,
             max_attempts: 2,
             job_deadline: None,
-            time_budget: None,
-            force_degraded: false,
             telemetry: false,
         }
     }
@@ -99,8 +84,6 @@ pub struct JournalEntry {
     pub digest: u64,
     /// Attempts the job needed (1 = first try).
     pub attempts: u32,
-    /// Whether the job ran in degraded (shed) mode.
-    pub degraded: bool,
     /// Artifact file names, in write order.
     pub files: Vec<String>,
     /// Counter snapshot from the job's successful attempt (sorted by
@@ -136,34 +119,13 @@ pub struct CampaignSummary {
     pub completed: Vec<JobReport>,
     /// `(job id, error)` for jobs that exhausted their attempts.
     pub failed: Vec<(String, String)>,
-    /// Jobs never started because a dependency failed.
-    pub blocked: Vec<String>,
-    /// Whether any job ran in degraded mode.
-    pub degraded: bool,
 }
 
 impl CampaignSummary {
     /// Campaign-wide counter totals, summed over every completed job
     /// (including journal-resumed ones, whose metrics were persisted).
     pub fn metrics_totals(&self) -> Vec<(String, u64)> {
-        let mut totals: BTreeMap<&str, u64> = BTreeMap::new();
-        for r in &self.completed {
-            for (name, v) in &r.entry.metrics {
-                *totals.entry(name).or_insert(0) += v;
-            }
-        }
-        totals.into_iter().map(|(n, v)| (n.to_string(), v)).collect()
-    }
-
-    /// Campaign-wide telemetry channel totals, summed over every
-    /// completed job (persisted in the journal, so resumed jobs count).
-    pub fn telemetry_totals(&self) -> Vec<(String, u64)> {
-        let mut totals: BTreeMap<&str, u64> = BTreeMap::new();
-        for r in &self.completed {
-            for (name, v) in &r.entry.telemetry {
-                *totals.entry(name).or_insert(0) += v;
-            }
-        }
+        let totals = sum_by_name(self.completed.iter().map(|r| &r.entry.metrics));
         totals.into_iter().map(|(n, v)| (n.to_string(), v)).collect()
     }
 
@@ -188,7 +150,7 @@ impl CampaignSummary {
 impl CampaignSummary {
     /// Whether every job committed.
     pub fn ok(&self) -> bool {
-        self.failed.is_empty() && self.blocked.is_empty()
+        self.failed.is_empty()
     }
 }
 
@@ -197,38 +159,27 @@ impl fmt::Display for CampaignSummary {
         for r in &self.completed {
             writeln!(
                 f,
-                "{:<18} {} digest={:016x} attempts={}{}",
+                "{:<18} {} digest={:016x} attempts={}",
                 r.id,
                 if r.resumed { "skipped (journal)" } else { "done             " },
                 r.entry.digest,
                 r.entry.attempts,
-                if r.entry.degraded { " DEGRADED" } else { "" },
             )?;
         }
         for (id, err) in &self.failed {
             writeln!(f, "{id:<18} FAILED: {err}")?;
         }
-        for id in &self.blocked {
-            writeln!(f, "{id:<18} BLOCKED (dependency failed)")?;
-        }
-        let status = if !self.ok() {
-            "completed with failures"
-        } else if self.degraded {
-            "completed (degraded)"
-        } else {
-            "completed"
-        };
+        let status = if self.ok() { "completed" } else { "completed with failures" };
         writeln!(
             f,
-            "campaign {status}: {} done, {} failed, {} blocked",
+            "campaign {status}: {} done, {} failed",
             self.completed.len(),
-            self.failed.len(),
-            self.blocked.len()
+            self.failed.len()
         )
     }
 }
 
-/// Dependency-aware supervised job runner (see module docs).
+/// Supervised job runner (see module docs).
 pub struct Supervisor {
     cfg: SupervisorConfig,
 }
@@ -247,7 +198,6 @@ impl Supervisor {
         let cfg = &self.cfg;
         std::fs::create_dir_all(&cfg.out_dir)
             .map_err(|e| format!("{}: {e}", cfg.out_dir.display()))?;
-        validate_deps(jobs)?;
 
         let mut summary = CampaignSummary::default();
         let mut done: BTreeMap<String, JournalEntry> = BTreeMap::new();
@@ -255,35 +205,24 @@ impl Supervisor {
             for (id, entry) in self.load_journal()? {
                 // A missing or mismatched artifact silently falls through
                 // to a rerun: the journal promises at-least-once, the
-                // digest check upgrades it to exactly-the-same-bytes. A
-                // degraded job this run executes reruns unless the run is
-                // itself degraded; other jobs' entries are kept as they are.
-                let shed = entry.degraded && !cfg.force_degraded && jobs.iter().any(|j| j.id == id);
-                if !shed && self.verify_entry(&entry) {
-                    summary.degraded |= entry.degraded;
+                // digest check upgrades it to exactly-the-same-bytes.
+                // Entries of jobs outside this run are kept as they are.
+                if self.verify_entry(&entry) {
                     done.insert(id.clone(), entry.clone());
                     summary.completed.push(JobReport { id, entry, resumed: true, sampler: None });
                 }
             }
         }
 
-        let start = Instant::now();
-        let mut pending: Vec<&JobSpec> = jobs.iter().filter(|j| !done.contains_key(j.id)).collect();
-        while let Some(i) =
-            pending.iter().position(|j| j.deps.iter().all(|d| done.contains_key(*d)))
-        {
-            let job = pending.remove(i);
-            let degraded =
-                cfg.force_degraded || cfg.time_budget.is_some_and(|b| start.elapsed() > b);
-            match self.run_job(job, degraded, &mut done) {
-                Ok(report) => {
-                    summary.degraded |= degraded;
-                    summary.completed.push(report);
-                }
+        for job in jobs {
+            if done.contains_key(job.id) {
+                continue;
+            }
+            match self.run_job(job, &mut done) {
+                Ok(report) => summary.completed.push(report),
                 Err(e) => summary.failed.push((job.id.to_string(), e)),
             }
         }
-        summary.blocked = pending.iter().map(|j| j.id.to_string()).collect();
         self.write_manifest(&done)?;
         Ok(summary)
     }
@@ -293,7 +232,6 @@ impl Supervisor {
     fn run_job(
         &self,
         job: &JobSpec,
-        degraded: bool,
         done: &mut BTreeMap<String, JournalEntry>,
     ) -> Result<JobReport, String> {
         // Per-job checkpoint store: cells measured before a crash or kill
@@ -325,7 +263,7 @@ impl Supervisor {
                 .telemetry
                 .then(|| Arc::new(TelemetryHub::default()));
             let _telemetry = hub.as_ref().map(|h| TelemetryHub::set_ambient(Arc::clone(h)));
-            let run = || job.run(&JobCtx { degraded }, Some(&checkpoint));
+            let run = || job.run(Some(&checkpoint));
             let output = match catch_unwind(AssertUnwindSafe(run)) {
                 Ok(output) => output,
                 Err(payload) => {
@@ -351,7 +289,6 @@ impl Supervisor {
             let entry = JournalEntry {
                 digest: digest_output(&output),
                 attempts,
-                degraded,
                 files: output.files.iter().map(|(n, _)| n.clone()).collect(),
                 metrics: registry.counters_snapshot(),
                 telemetry,
@@ -374,10 +311,9 @@ impl Supervisor {
         let mut text = format!("{JOURNAL_MAGIC}\n");
         for (id, e) in entries {
             text.push_str(&format!(
-                "done {id} digest={:016x} attempts={} degraded={} files={}{}{}\n",
+                "done {id} digest={:016x} attempts={} files={}{}{}\n",
                 e.digest,
                 e.attempts,
-                e.degraded as u8,
                 e.files.join(","),
                 render_totals("metrics", &e.metrics),
                 render_totals("telemetry", &e.telemetry),
@@ -433,37 +369,23 @@ impl Supervisor {
     fn write_manifest(&self, entries: &BTreeMap<String, JournalEntry>) -> Result<(), String> {
         let mut text = String::new();
         for (id, e) in entries {
-            text.push_str(&format!(
-                "{id} {:016x}{} {}\n",
-                e.digest,
-                if e.degraded { " degraded" } else { "" },
-                e.files.join(" ")
-            ));
+            text.push_str(&format!("{id} {:016x} {}\n", e.digest, e.files.join(" ")));
         }
-        // Campaign-wide counter totals, as comments so completeness
-        // checkers that read one line per artifact set are unaffected.
-        let mut totals: BTreeMap<&str, u64> = BTreeMap::new();
-        for e in entries.values() {
-            for (name, v) in &e.metrics {
-                *totals.entry(name).or_insert(0) += v;
-            }
-        }
-        if !totals.is_empty() {
-            text.push_str("# metrics (summed over jobs)\n");
-            for (name, v) in &totals {
-                text.push_str(&format!("# {name} {v}\n"));
-            }
-        }
-        let mut telemetry: BTreeMap<&str, u64> = BTreeMap::new();
-        for e in entries.values() {
-            for (name, v) in &e.telemetry {
-                *telemetry.entry(name).or_insert(0) += v;
-            }
-        }
-        if !telemetry.is_empty() {
-            text.push_str("# telemetry (per-channel totals, summed over jobs)\n");
-            for (name, v) in &telemetry {
-                text.push_str(&format!("# {name} {v}\n"));
+        // Campaign-wide counter and telemetry totals, as comments so
+        // completeness checkers that read one line per artifact set are
+        // unaffected.
+        for (title, totals) in [
+            ("metrics (summed over jobs)", sum_by_name(entries.values().map(|e| &e.metrics))),
+            (
+                "telemetry (per-channel totals, summed over jobs)",
+                sum_by_name(entries.values().map(|e| &e.telemetry)),
+            ),
+        ] {
+            if !totals.is_empty() {
+                text.push_str(&format!("# {title}\n"));
+                for (name, v) in &totals {
+                    text.push_str(&format!("# {name} {v}\n"));
+                }
             }
         }
         // Exact reproduction recipe: the command and the reference-config
@@ -489,6 +411,17 @@ fn digest_output(output: &JobOutput) -> u64 {
         h = fnv1a64_extend(h, &[0]);
     }
     h
+}
+
+/// Per-name sums over `snapshots`, in name order.
+fn sum_by_name<'a>(
+    snapshots: impl Iterator<Item = &'a Vec<(String, u64)>>,
+) -> BTreeMap<&'a str, u64> {
+    let mut totals = BTreeMap::new();
+    for (name, v) in snapshots.flatten() {
+        *totals.entry(name.as_str()).or_insert(0) += v;
+    }
+    totals
 }
 
 /// Render a named-total snapshot as a ` <key>=name:value,...` journal
@@ -521,7 +454,6 @@ fn parse_done_line(line: &str) -> Option<(String, JournalEntry)> {
     let id = parts.next()?.to_string();
     let mut digest = None;
     let mut attempts = None;
-    let mut degraded = None;
     let mut files = None;
     let mut metrics = Vec::new();
     let mut telemetry = Vec::new();
@@ -530,7 +462,6 @@ fn parse_done_line(line: &str) -> Option<(String, JournalEntry)> {
         match k {
             "digest" => digest = u64::from_str_radix(v, 16).ok(),
             "attempts" => attempts = v.parse().ok(),
-            "degraded" => degraded = Some(v == "1"),
             "files" => files = Some(v.split(',').map(str::to_string).collect()),
             // Both absent in older journals; malformed pairs are dropped
             // rather than failing the whole line.
@@ -544,7 +475,6 @@ fn parse_done_line(line: &str) -> Option<(String, JournalEntry)> {
         JournalEntry {
             digest: digest?,
             attempts: attempts?,
-            degraded: degraded?,
             files: files?,
             metrics,
             telemetry,
@@ -552,41 +482,14 @@ fn parse_done_line(line: &str) -> Option<(String, JournalEntry)> {
     ))
 }
 
-/// Reject duplicate ids and dangling dependency references up front.
-fn validate_deps(jobs: &[JobSpec]) -> Result<(), String> {
-    for (i, j) in jobs.iter().enumerate() {
-        if jobs[..i].iter().any(|k| k.id == j.id) {
-            return Err(format!("duplicate job id `{}`", j.id));
-        }
-        for d in j.deps {
-            if !jobs.iter().any(|k| k.id == *d) {
-                return Err(format!("job `{}` depends on unknown job `{d}`", j.id));
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Select `ids` from `all`, pulling in transitive dependencies, keeping
-/// the registry's order. Unknown ids are an error.
+/// Select `ids` from `all`, keeping the registry's order. Unknown ids are
+/// an error.
 pub fn select_jobs(all: &[JobSpec], ids: &[&str]) -> Result<Vec<JobSpec>, String> {
-    let mut wanted: Vec<&str> = Vec::new();
-    let mut stack: Vec<&str> = ids.to_vec();
-    while let Some(id) = stack.pop() {
-        let job = all
-            .iter()
-            .find(|j| j.id == id)
-            .ok_or_else(|| format!("unknown job `{id}` (available: {})", job_ids(all)))?;
-        if !wanted.contains(&job.id) {
-            wanted.push(job.id);
-            stack.extend(job.deps);
-        }
+    if let Some(id) = ids.iter().find(|id| !all.iter().any(|j| j.id == **id)) {
+        let available: Vec<&str> = all.iter().map(|j| j.id).collect();
+        return Err(format!("unknown job `{id}` (available: {})", available.join(", ")));
     }
-    Ok(all.iter().filter(|j| wanted.contains(&j.id)).copied().collect())
-}
-
-fn job_ids(all: &[JobSpec]) -> String {
-    all.iter().map(|j| j.id).collect::<Vec<_>>().join(", ")
+    Ok(all.iter().filter(|j| ids.contains(&j.id)).copied().collect())
 }
 
 #[cfg(test)]
@@ -614,22 +517,21 @@ mod tests {
         }
     }
 
-    fn ok_job(ctx: &JobCtx, _: &mut Cells) -> JobOutput {
-        let body = format!("payload degraded={}\n", ctx.degraded);
-        JobOutput { files: vec![("ok.txt".into(), body)] }
+    fn ok_job(_: &mut Cells) -> JobOutput {
+        JobOutput { files: vec![("ok.txt".into(), "payload\n".into())] }
     }
 
-    fn dep_job(_ctx: &JobCtx, _: &mut Cells) -> JobOutput {
+    fn dep_job(_: &mut Cells) -> JobOutput {
         JobOutput { files: vec![("dep.txt".into(), "dep\n".into())] }
     }
 
-    fn always_panics(_ctx: &JobCtx, _: &mut Cells) -> JobOutput {
+    fn always_panics(_: &mut Cells) -> JobOutput {
         panic!("deliberate job failure");
     }
 
     /// Fails its first call on each thread and succeeds on the retry,
     /// which the supervisor runs on the same thread.
-    fn flaky_job(_ctx: &JobCtx, _: &mut Cells) -> JobOutput {
+    fn flaky_job(_: &mut Cells) -> JobOutput {
         thread_local!(static CALLS: std::cell::Cell<u32> = const { std::cell::Cell::new(0) });
         let calls = CALLS.replace(CALLS.get() + 1) + 1;
         if calls == 1 {
@@ -639,7 +541,7 @@ mod tests {
     }
 
     /// Walks forever; only the ambient watchdog can stop it.
-    fn wedged_job(_ctx: &JobCtx, _: &mut Cells) -> JobOutput {
+    fn wedged_job(_: &mut Cells) -> JobOutput {
         let mut sys = System::new(SystemConfig::e5_2680_v3(CoherenceMode::SourceSnoop));
         let mut t = SimTime::ZERO;
         let mut i = 0u64;
@@ -655,19 +557,18 @@ mod tests {
     }
 
     #[test]
-    fn runs_jobs_in_dependency_order_and_journals() {
+    fn runs_jobs_in_the_given_order_and_journals() {
         let dir = tmp_dir("basic");
         let sup = Supervisor::new(cfg_for(&dir));
-        let jobs = [
-            JobSpec { id: "child", deps: &["parent"], build: ok_job },
-            JobSpec { id: "parent", deps: &[], build: dep_job },
-        ];
+        let jobs =
+            [JobSpec { id: "second", build: ok_job }, JobSpec { id: "first", build: dep_job }];
         let summary = sup.run(&jobs).unwrap();
         assert!(summary.ok(), "{summary}");
-        assert_eq!(summary.completed.len(), 2);
+        let ran: Vec<&str> = summary.completed.iter().map(|r| r.id.as_str()).collect();
+        assert_eq!(ran, ["second", "first"]);
         let journal = std::fs::read_to_string(dir.join("campaign.journal")).unwrap();
         assert!(journal.starts_with(JOURNAL_MAGIC), "{journal}");
-        assert!(journal.contains("done parent") && journal.contains("done child"));
+        assert!(journal.contains("done first") && journal.contains("done second"));
         assert!(dir.join("manifest.txt").exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -675,10 +576,7 @@ mod tests {
     #[test]
     fn resume_skips_verified_jobs_and_reruns_tampered_ones() {
         let dir = tmp_dir("resume");
-        let jobs = [
-            JobSpec { id: "a", deps: &[], build: dep_job },
-            JobSpec { id: "b", deps: &[], build: ok_job },
-        ];
+        let jobs = [JobSpec { id: "a", build: dep_job }, JobSpec { id: "b", build: ok_job }];
         let sup = Supervisor::new(cfg_for(&dir));
         assert!(sup.run(&jobs).unwrap().ok());
 
@@ -699,43 +597,45 @@ mod tests {
     }
 
     #[test]
-    fn resume_refuses_a_v1_journal() {
-        let dir = tmp_dir("v1");
+    fn resume_refuses_a_v2_journal() {
+        // A v2 journal may mark an entry degraded (shed sweep points), so
+        // its entries cannot be trusted as complete.
+        let dir = tmp_dir("v2");
         std::fs::create_dir_all(&dir).unwrap();
-        let v1 = "hswx-campaign v1 seed=30154773\n\
-                  done a digest=00000000000000ff attempts=1 degraded=0 files=dep.txt\n";
-        std::fs::write(dir.join("campaign.journal"), v1).unwrap();
+        let v2 = "hswx-campaign v2\n\
+                  done a digest=00000000000000ff attempts=1 degraded=1 files=dep.txt\n";
+        std::fs::write(dir.join("campaign.journal"), v2).unwrap();
         let mut cfg = cfg_for(&dir);
         cfg.resume = true;
-        let jobs = [JobSpec { id: "a", deps: &[], build: dep_job }];
+        let jobs = [JobSpec { id: "a", build: dep_job }];
         let err = Supervisor::new(cfg).run(&jobs).unwrap_err();
-        assert!(err.contains("not a hswx-campaign v2 journal"), "{err}");
+        assert!(err.contains("not a hswx-campaign v3 journal"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn failed_dependency_blocks_dependents() {
-        let dir = tmp_dir("blocked");
+    fn failed_job_does_not_stop_the_next() {
+        let dir = tmp_dir("failed");
         let mut cfg = cfg_for(&dir);
         cfg.max_attempts = 1;
         let jobs = [
-            JobSpec { id: "bad", deps: &[], build: always_panics },
-            JobSpec { id: "child", deps: &["bad"], build: ok_job },
-            JobSpec { id: "indep", deps: &[], build: dep_job },
+            JobSpec { id: "bad", build: always_panics },
+            JobSpec { id: "next", build: ok_job },
+            JobSpec { id: "last", build: dep_job },
         ];
         let summary = Supervisor::new(cfg).run(&jobs).unwrap();
         assert!(!summary.ok(), "{summary}");
         assert_eq!(summary.failed.len(), 1);
         assert!(summary.failed[0].1.contains("deliberate job failure"));
-        assert_eq!(summary.blocked, vec!["child".to_string()]);
-        assert_eq!(summary.completed.len(), 1, "sibling still ran: {summary}");
+        let ran: Vec<&str> = summary.completed.iter().map(|r| r.id.as_str()).collect();
+        assert_eq!(ran, ["next", "last"], "{summary}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn bounded_retry_reruns_a_failed_attempt() {
         let dir = tmp_dir("retry");
-        let jobs = [JobSpec { id: "flaky", deps: &[], build: flaky_job }];
+        let jobs = [JobSpec { id: "flaky", build: flaky_job }];
         let summary = Supervisor::new(cfg_for(&dir)).run(&jobs).unwrap();
         assert!(summary.ok(), "{summary}");
         assert_eq!(summary.completed[0].entry.attempts, 2);
@@ -750,7 +650,7 @@ mod tests {
         let mut cfg = cfg_for(&dir);
         cfg.max_attempts = 1;
         cfg.job_deadline = Some(Duration::from_millis(40));
-        let jobs = [JobSpec { id: "wedged", deps: &[], build: wedged_job }];
+        let jobs = [JobSpec { id: "wedged", build: wedged_job }];
         let summary = Supervisor::new(cfg).run(&jobs).unwrap();
         assert_eq!(summary.failed.len(), 1, "{summary}");
         assert!(
@@ -762,31 +662,16 @@ mod tests {
     }
 
     #[test]
-    fn exhausted_time_budget_degrades_instead_of_dying() {
-        let dir = tmp_dir("budget");
-        let mut cfg = cfg_for(&dir);
-        cfg.time_budget = Some(Duration::ZERO);
-        let jobs = [JobSpec { id: "shed", deps: &[], build: ok_job }];
-        let summary = Supervisor::new(cfg).run(&jobs).unwrap();
-        assert!(summary.ok() && summary.degraded, "{summary}");
-        assert!(summary.completed[0].entry.degraded);
-        let body = std::fs::read_to_string(dir.join("ok.txt")).unwrap();
-        assert_eq!(body, "payload degraded=true\n");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn journal_lines_round_trip() {
         let entry = JournalEntry {
             digest: 0xdead_beef_0102_0304,
             attempts: 3,
-            degraded: true,
             files: vec!["x.txt".into(), "x.csv".into()],
             metrics: vec![("snoop.sent".into(), 42), ("sys.walks".into(), 7)],
             telemetry: vec![("qpi.bytes".into(), 640), ("ring.busy_ps".into(), 9000)],
         };
         let line = format!(
-            "done myjob digest={:016x} attempts={} degraded=1 files=x.txt,x.csv{}{}",
+            "done myjob digest={:016x} attempts={} files=x.txt,x.csv{}{}",
             entry.digest,
             entry.attempts,
             render_totals("metrics", &entry.metrics),
@@ -796,7 +681,7 @@ mod tests {
         assert_eq!(id, "myjob");
         assert_eq!(parsed, entry);
         // Pre-metrics journals parse with empty metrics.
-        let legacy = "done old digest=00000000000000ff attempts=1 degraded=0 files=a.csv";
+        let legacy = "done old digest=00000000000000ff attempts=1 files=a.csv";
         let (_, old) = parse_done_line(legacy).unwrap();
         assert!(old.metrics.is_empty());
         assert!(parse_done_line("garbage line").is_none());
@@ -810,7 +695,7 @@ mod tests {
     static SWEEP_MEASURED: AtomicU32 = AtomicU32::new(0);
 
     /// Eight-cell job; the runner records each cell in the checkpoint.
-    fn sweep_job(_ctx: &JobCtx, m: &mut Cells) -> JobOutput {
+    fn sweep_job(m: &mut Cells) -> JobOutput {
         let mut body = String::new();
         for size in 0u64..8 {
             let v = m.cell("sweep", "sqrt", size, move || {
@@ -827,7 +712,7 @@ mod tests {
     fn killed_sweep_resumes_from_checkpoint_byte_identically() {
         // Reference: uninterrupted run.
         let ref_dir = tmp_dir("ckpt-ref");
-        let jobs = [JobSpec { id: "sweep", deps: &[], build: sweep_job }];
+        let jobs = [JobSpec { id: "sweep", build: sweep_job }];
         assert!(Supervisor::new(cfg_for(&ref_dir)).run(&jobs).unwrap().ok());
         let reference = std::fs::read(ref_dir.join("sweep.txt")).unwrap();
 
@@ -863,40 +748,31 @@ mod tests {
     }
 
     #[test]
-    fn resume_completes_a_degraded_job_unless_itself_degraded() {
-        let dir = tmp_dir("degraded-resume");
-        let jobs = [
-            JobSpec { id: "shed", deps: &[], build: ok_job },
-            JobSpec { id: "other", deps: &[], build: dep_job },
-        ];
+    fn resume_keeps_the_entries_of_jobs_outside_the_run() {
+        let dir = tmp_dir("resume-subset");
+        let jobs = [JobSpec { id: "ok", build: ok_job }, JobSpec { id: "other", build: dep_job }];
         let mut cfg = cfg_for(&dir);
-        cfg.force_degraded = true;
-        assert!(Supervisor::new(cfg.clone()).run(&jobs).unwrap().degraded);
+        assert!(Supervisor::new(cfg.clone()).run(&jobs).unwrap().ok());
+        // Resuming only `ok` after its artifact was tampered with reruns
+        // it and keeps the entry of `other`, which this run does not
+        // execute.
+        std::fs::write(dir.join("ok.txt"), "corrupted").unwrap();
         cfg.resume = true;
-        let again = Supervisor::new(cfg.clone()).run(&jobs).unwrap();
-        assert!(again.completed.iter().all(|r| r.resumed) && again.degraded, "{again}");
-        // Without --degraded, resuming only `shed` reruns it and keeps the
-        // degraded entry of `other`, which this run does not execute.
-        cfg.force_degraded = false;
-        let one = Supervisor::new(cfg.clone()).run(&jobs[..1]).unwrap();
+        let one = Supervisor::new(cfg).run(&jobs[..1]).unwrap();
         let resumed: Vec<_> = one.completed.iter().map(|r| (r.id.as_str(), r.resumed)).collect();
-        assert_eq!(resumed, [("other", true), ("shed", false)], "{one}");
-        assert!(one.degraded, "{one}");
+        assert_eq!(resumed, [("other", true), ("ok", false)], "{one}");
         for name in ["campaign.journal", "manifest.txt"] {
             let text = std::fs::read_to_string(dir.join(name)).unwrap();
             assert!(text.contains("dep.txt"), "{name} dropped `other`:\n{text}");
         }
-        let body = std::fs::read_to_string(dir.join("ok.txt")).unwrap();
-        assert_eq!(body, "payload degraded=false\n");
-        let full = Supervisor::new(cfg).run(&jobs).unwrap();
-        assert!(!full.degraded && full.completed.iter().all(|r| r.resumed == (r.id == "shed")));
+        assert_eq!(std::fs::read_to_string(dir.join("ok.txt")).unwrap(), "payload\n");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn manifest_carries_a_reproduce_line() {
         let dir = tmp_dir("manifest");
-        let jobs = [JobSpec { id: "a", deps: &[], build: dep_job }];
+        let jobs = [JobSpec { id: "a", build: dep_job }];
         assert!(Supervisor::new(cfg_for(&dir)).run(&jobs).unwrap().ok());
         let manifest = std::fs::read_to_string(dir.join("manifest.txt")).unwrap();
         let line = manifest
@@ -909,7 +785,7 @@ mod tests {
     }
 
     /// Drives a small simulator so ambient telemetry has something to see.
-    fn sim_job(_ctx: &JobCtx, _: &mut Cells) -> JobOutput {
+    fn sim_job(_: &mut Cells) -> JobOutput {
         let mut sys = System::new(SystemConfig::e5_2680_v3(CoherenceMode::SourceSnoop));
         let mut t = SimTime::ZERO;
         for i in 0..64u64 {
@@ -924,17 +800,15 @@ mod tests {
         let dir = tmp_dir("telemetry");
         let mut cfg = cfg_for(&dir);
         cfg.telemetry = true;
-        let jobs = [JobSpec { id: "sim", deps: &[], build: sim_job }];
+        let jobs = [JobSpec { id: "sim", build: sim_job }];
         let summary = Supervisor::new(cfg.clone()).run(&jobs).unwrap();
         assert!(summary.ok(), "{summary}");
         let report = summary.completed[0].clone();
         assert!(report.sampler.is_some(), "job ran with telemetry but sampled nothing");
-        assert!(!report.entry.telemetry.is_empty());
-        let totals = summary.telemetry_totals();
-        assert!(totals.iter().any(|(n, v)| n == "ring.busy_ps" && *v > 0), "{totals:?}");
-        let merged = summary.telemetry_merged().unwrap();
         let entry_ring =
             report.entry.telemetry.iter().find(|(n, _)| n == "ring.busy_ps").unwrap().1;
+        assert!(entry_ring > 0, "{:?}", report.entry.telemetry);
+        let merged = summary.telemetry_merged().unwrap();
         assert_eq!(merged.channel_total("ring.busy_ps"), entry_ring);
 
         // The journal persists the totals, so resume keeps them (but not
@@ -948,13 +822,14 @@ mod tests {
         assert!(resumed.telemetry_merged().is_none());
         let manifest = std::fs::read_to_string(dir.join("manifest.txt")).unwrap();
         assert!(manifest.contains("# telemetry"), "{manifest}");
+        assert!(manifest.contains(&format!("\n# ring.busy_ps {entry_ring}\n")), "{manifest}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn telemetry_off_leaves_journal_and_reports_clean() {
         let dir = tmp_dir("telemetry-off");
-        let jobs = [JobSpec { id: "sim", deps: &[], build: sim_job }];
+        let jobs = [JobSpec { id: "sim", build: sim_job }];
         let summary = Supervisor::new(cfg_for(&dir)).run(&jobs).unwrap();
         assert!(summary.ok(), "{summary}");
         assert!(summary.completed[0].sampler.is_none());
@@ -970,27 +845,24 @@ mod tests {
     }
 
     #[test]
-    fn select_jobs_pulls_transitive_deps() {
+    fn select_jobs_keeps_registry_order() {
         let all = crate::jobs::registry();
-        let picked = select_jobs(&all, &["fig4"]).unwrap();
+        let picked = select_jobs(&all, &["fig4", "table1"]).unwrap();
         let ids: Vec<&str> = picked.iter().map(|j| j.id).collect();
-        assert_eq!(ids, vec!["table2", "fig4"]);
-        assert!(select_jobs(&all, &["nope"]).is_err());
+        assert_eq!(ids, vec!["table1", "fig4"]);
+        assert!(select_jobs(&all, &["fig4", "nope"]).is_err());
     }
 
     #[test]
     fn attempts_counter_is_not_shared_between_jobs() {
         // Two independent jobs; each gets its own attempt loop.
         static CALLS: AtomicU32 = AtomicU32::new(0);
-        fn counting(_: &JobCtx, _: &mut Cells) -> JobOutput {
+        fn counting(_: &mut Cells) -> JobOutput {
             CALLS.fetch_add(1, Ordering::Relaxed);
             JobOutput { files: vec![("c.txt".into(), "c\n".into())] }
         }
         let dir = tmp_dir("counter");
-        let jobs = [
-            JobSpec { id: "c1", deps: &[], build: counting },
-            JobSpec { id: "c2", deps: &[], build: counting },
-        ];
+        let jobs = [JobSpec { id: "c1", build: counting }, JobSpec { id: "c2", build: counting }];
         let summary = Supervisor::new(cfg_for(&dir)).run(&jobs).unwrap();
         assert!(summary.ok());
         assert_eq!(CALLS.load(Ordering::Relaxed), 2);

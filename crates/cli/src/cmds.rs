@@ -1,7 +1,7 @@
 //! Subcommand implementations.
 
 use crate::args::Flags;
-use hswx_bench::scenarios::{LatencyScenario, PreparedScenario};
+use hswx_bench::scenarios::{cod_shared, LatencyScenario, PreparedScenario};
 use hswx_engine::{SimTime, SpanRecorder};
 use hswx_verify::{run_campaign, FaultPlan};
 use hswx_haswell::microbench::{
@@ -28,12 +28,11 @@ USAGE:
                   --json additionally writes the matrix as JSON)
   hswx campaign  [--out DIR] [--journal FILE] [--resume] [--fsync]
                  [--jobs a,b,..] [--attempts N] [--deadline-ms N]
-                 [--time-budget-ms N] [--degraded] [--metrics-json FILE]
-                 [--telemetry BASE]
+                 [--metrics-json FILE] [--telemetry BASE]
                  (supervised regeneration of every figure/table artifact
-                  under results/, or the --jobs subset: dependency-aware
-                  job queue with watchdog deadlines, bounded retry, and a
-                  crash-safe journal; --resume skips journaled jobs;
+                  under results/, or the --jobs subset: jobs run in full,
+                  one at a time, with watchdog deadlines, bounded retry,
+                  and a crash-safe journal; --resume skips journaled jobs;
                   --metrics-json exports campaign-total protocol counters;
                   --telemetry samples simulated-time series per job and
                   writes the merged profile to BASE.csv and BASE.om, and
@@ -305,8 +304,6 @@ fn print_attribution(rec: &SpanRecorder, walk: &hswx_engine::WalkRecord) {
 /// of the paper's Figure 7 scenario and explain where every nanosecond
 /// went, naming the HitME/AllocateShared hop behind the anomaly.
 fn explain_fig7(argv: &[String]) -> Result<(), String> {
-    use hswx_bench::scenarios::{first_core_of, nth_core_of};
-    use hswx_haswell::CoherenceMode::ClusterOnDie;
     let flags = Flags::parse(argv, &["fwd", "home", "out"], &[])?;
     let size_kib: u64 = match flags.positional.first() {
         Some(s) => s.parse().map_err(|_| format!("bad size (KiB): {s}"))?,
@@ -314,22 +311,7 @@ fn explain_fig7(argv: &[String]) -> Result<(), String> {
     };
     let fwd: u8 = flags.get_parse("fwd", 1u8)?;
     let home: u8 = flags.get_parse("home", 2u8)?;
-    let measurer = first_core_of(ClusterOnDie, 0);
-    let home_core = first_core_of(ClusterOnDie, home);
-    let placers = if fwd == home {
-        vec![home_core, nth_core_of(ClusterOnDie, home, 1)]
-    } else {
-        vec![home_core, first_core_of(ClusterOnDie, fwd)]
-    };
-    let scenario = LatencyScenario {
-        mode: ClusterOnDie,
-        placers,
-        state: PlacedState::Shared,
-        level: Level::L3,
-        home: NodeId(home),
-        measurer,
-        size: Some(size_kib * 1024),
-    };
+    let scenario = cod_shared(fwd, home, Level::L3, size_kib * 1024);
     let (p, out, rec) = traced_reads(&scenario, 1 << 14, 1)?;
     let walk = rec.last_walk().ok_or("no walk recorded")?;
     if let Some(path) = flags.map_get("out") {
@@ -545,22 +527,13 @@ pub fn faultcheck(argv: &[String]) -> Result<(), String> {
 }
 
 /// `hswx campaign` — run the registered figure/table jobs under the
-/// supervised campaign runtime (dependency queue, watchdog deadlines,
-/// bounded retry, crash-safe journal). See `hswx_bench::supervisor`.
+/// supervised campaign runtime (watchdog deadlines, bounded retry,
+/// crash-safe journal). See `hswx_bench::supervisor`.
 pub fn campaign(argv: &[String]) -> Result<(), String> {
     let flags = Flags::parse(
         argv,
-        &[
-            "out",
-            "journal",
-            "telemetry",
-            "attempts",
-            "deadline-ms",
-            "time-budget-ms",
-            "jobs",
-            "metrics-json",
-        ],
-        &["resume", "fsync", "degraded"],
+        &["out", "journal", "telemetry", "attempts", "deadline-ms", "jobs", "metrics-json"],
+        &["resume", "fsync"],
     )?;
     if flags.has("resume") && flags.map_get("telemetry").is_some() {
         return Err("--resume cannot be combined with --telemetry: the journal keeps \
@@ -577,7 +550,6 @@ pub fn campaign(argv: &[String]) -> Result<(), String> {
             .unwrap_or_else(|| std::path::Path::new(&out_dir).join("campaign.journal")),
         resume: flags.has("resume"),
         fsync: flags.has("fsync"),
-        force_degraded: flags.has("degraded"),
         ..hswx_bench::SupervisorConfig::default()
     };
     let telemetry_base = flags.map_get("telemetry").map(str::to_string);
@@ -589,10 +561,6 @@ pub fn campaign(argv: &[String]) -> Result<(), String> {
     if let Some(ms) = flags.map_get("deadline-ms") {
         let ms: u64 = ms.parse().map_err(|_| format!("bad value for --deadline-ms: {ms}"))?;
         cfg.job_deadline = Some(std::time::Duration::from_millis(ms));
-    }
-    if let Some(ms) = flags.map_get("time-budget-ms") {
-        let ms: u64 = ms.parse().map_err(|_| format!("bad value for --time-budget-ms: {ms}"))?;
-        cfg.time_budget = Some(std::time::Duration::from_millis(ms));
     }
 
     let registry = hswx_bench::jobs::registry();
@@ -653,18 +621,7 @@ pub fn campaign(argv: &[String]) -> Result<(), String> {
 /// Record the Figure 7 anomaly point (128 KiB, F=1, H=2) as a validated
 /// Chrome trace-event JSON artifact at `path`.
 fn write_campaign_trace(path: &std::path::Path) -> Result<(), String> {
-    use hswx_bench::scenarios::first_core_of;
-    use hswx_haswell::CoherenceMode::ClusterOnDie;
-    let scenario = LatencyScenario {
-        mode: ClusterOnDie,
-        placers: vec![first_core_of(ClusterOnDie, 2), first_core_of(ClusterOnDie, 1)],
-        state: PlacedState::Shared,
-        level: Level::L3,
-        home: NodeId(2),
-        measurer: first_core_of(ClusterOnDie, 0),
-        size: Some(128 * 1024),
-    };
-    let (_, _, rec) = traced_reads(&scenario, 1 << 14, 4)?;
+    let (_, _, rec) = traced_reads(&cod_shared(1, 2, Level::L3, 128 * 1024), 1 << 14, 4)?;
     write_trace_json(&rec, path)
 }
 

@@ -10,7 +10,7 @@
 //! hswx explain   [latency flags] | explain fig7 [SIZE_KIB] [--fwd N] [--home N]
 //!                | explain diff A B
 //! hswx faultcheck [--quick] [--json FILE]
-//! hswx campaign  [--resume] [--time-budget-ms N] [--jobs a,b,..]
+//! hswx campaign  [--out DIR] [--resume] [--jobs a,b,..]
 //! hswx perfbench [--quick] [--baseline FILE] [--write-baseline]
 //!                [--check-history] [--history FILE]
 //! ```

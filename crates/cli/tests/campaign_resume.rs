@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 
 const JOBS: &str = "table1,table2";
 /// The kill test's jobs: the spec tables, then the 48-cell ablate_rings.
-const RINGS: &str = "table1,ablate_rings";
+const RINGS: &str = "table1,table2,ablate_rings";
 
 fn hswx() -> Command {
     Command::new(env!("CARGO_BIN_EXE_hswx"))
@@ -187,34 +187,9 @@ fn campaign_rejects_unknown_flags_before_running() {
 }
 
 #[test]
-fn time_budget_degrades_deterministically() {
-    // --degraded (force) and an already-exhausted budget must agree on
-    // the shed outputs, so degraded reruns are reproducible.
-    let forced = fresh_dir("forced");
-    let budget = fresh_dir("budget");
-    for (dir, extra) in
-        [(&forced, ["--degraded", "", ""]), (&budget, ["--time-budget-ms", "0", ""])]
-    {
-        let extras: Vec<&str> = extra.iter().copied().filter(|s| !s.is_empty()).collect();
-        let out = hswx()
-            .args(campaign_args(dir, &extras))
-            .output()
-            .expect("spawn campaign");
-        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-        assert!(String::from_utf8_lossy(&out.stdout).contains("DEGRADED"));
-    }
-    for name in ["table1.csv", "table2.csv", "manifest.txt"] {
-        assert_eq!(read(&forced, name), read(&budget, name), "{name} differs");
-    }
-    let _ = std::fs::remove_dir_all(&forced);
-    let _ = std::fs::remove_dir_all(&budget);
-}
-
-#[test]
 fn watchdog_deadline_fails_cleanly_not_hangs() {
-    // A 1 ms deadline cannot finish the fig4 sweep (the spec tables do
-    // no simulation, so only fig4's walks poll the watchdog token); the
-    // campaign must exit promptly with a failure, not wedge.
+    // A 1 ms deadline cannot finish the fig4 sweep; the campaign must
+    // exit promptly with a failure, not wedge.
     let dir = fresh_dir("deadline");
     let begin = Instant::now();
     let out = hswx()

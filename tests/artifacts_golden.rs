@@ -6,7 +6,7 @@
 //! set, all 26 CSVs plus `calibrate.log`, is checked by running
 //! `hswx campaign --out DIR` and comparing `DIR` with `results/`.
 
-use hswx_bench::jobs::{registry, JobCtx};
+use hswx_bench::jobs::registry;
 use std::path::Path;
 
 fn assert_matches_committed(id: &str) {
@@ -14,7 +14,7 @@ fn assert_matches_committed(id: &str) {
         .into_iter()
         .find(|j| j.id == id)
         .unwrap_or_else(|| panic!("no registered job `{id}`"));
-    let out = job.run(&JobCtx::default(), None);
+    let out = job.run(None);
     let results = Path::new(env!("CARGO_MANIFEST_DIR")).join("results");
     let mut csvs = 0;
     for (name, body) in out.files.iter().filter(|(name, _)| name.ends_with(".csv")) {
