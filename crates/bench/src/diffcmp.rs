@@ -56,7 +56,6 @@ pub fn component_of(counter: &str) -> &'static str {
         "core" => "core buffers",
         "read" => "read path",
         "sys" => "walk engine",
-        "cancel" => "cancellation",
         _ => "other",
     }
 }
@@ -276,7 +275,6 @@ mod tests {
             ("ha.tracker_wait_ps", "home agent"),
             ("core.wc_drain_ps", "core buffers"),
             ("sys.walks", "walk engine"),
-            ("cancel.aborts", "cancellation"),
             ("mystery.thing", "other"),
         ] {
             assert_eq!(component_of(prefix), expect, "{prefix}");

@@ -57,21 +57,18 @@ where
         .map(|p| p.get())
         .unwrap_or(4)
         .min(n.max(1));
-    // Carry the caller's ambient cancellation token, metrics registry,
-    // and telemetry hub into the workers, so a supervisor watchdog
-    // installed around this sweep reaches the simulators the jobs
-    // construct on pool threads, their counters drain into the caller's
-    // registry, and their time-series samples land in the caller's hub
-    // (the hub's merge is order-independent, so concurrent drains from
-    // many workers still produce a deterministic series).
-    let ambient = hswx_engine::CancelToken::ambient();
+    // Carry the caller's ambient metrics registry and telemetry hub into
+    // the workers, so the counters of the simulators the jobs construct
+    // on pool threads drain into the caller's registry and their
+    // time-series samples land in the caller's hub (the hub's merge is
+    // order-independent, so concurrent drains from many workers still
+    // produce a deterministic series).
     let metrics = hswx_engine::MetricsRegistry::ambient();
     let telemetry = hswx_engine::TelemetryHub::ambient();
 
     std::thread::scope(|scope| {
         for _ in 0..threads {
             scope.spawn(|| {
-                let _cancel_scope = ambient.clone().map(hswx_engine::CancelToken::set_ambient);
                 let _metrics_scope =
                     metrics.clone().map(hswx_engine::MetricsRegistry::set_ambient);
                 let _telemetry_scope =

@@ -1,17 +1,14 @@
-//! Supervised campaign runtime: watchdog deadlines, bounded retry and
-//! crash-safe journaling around each job.
+//! Supervised campaign runtime: panic isolation and crash-safe journaling
+//! around each job.
 //!
 //! The [`Supervisor`] runs [`JobSpec`]s in full, one at a time in the order
 //! given, through the cell runner ([`JobSpec::run`]), whose pool is the
-//! campaign's one level of parallelism. Around each job attempt it
-//! installs an ambient [`CancelToken`] carrying the per-job wall-clock
-//! deadline; the simulator walk loop polls that token, so a wedged cell
-//! degrades into a typed `Cancelled` walk error (surfaced as a panic)
-//! instead of hanging the campaign. Failed attempts retry up to a bound,
-//! replaying the cells already checkpointed. Every job is deterministic
-//! (the simulator seeds are constants), so a retry recomputes the same
-//! bytes: it recovers from host-side trouble such as a watchdog overrun on
-//! a loaded machine, not from an unlucky model draw.
+//! campaign's one level of parallelism. Each job runs once, under
+//! `catch_unwind`: a panicking job is reported in the summary and the next
+//! job runs. Every job is deterministic (the simulator seeds are
+//! constants), so running a failed job again would fail the same way; the
+//! cells it finished stay in its checkpoint, and `--resume` measures only
+//! the rest once the cause is fixed.
 //!
 //! Completed jobs are committed to a crash-safe journal: every artifact
 //! file is written via tmp+`rename`, the journal records a per-job
@@ -27,15 +24,13 @@ use crate::checkpoint::CheckpointStore;
 use crate::jobs::{reference_digest, JobOutput, JobSpec};
 use crate::parallel::panic_message;
 use hswx_engine::{
-    atomic_write, fnv1a64, fnv1a64_extend, CancelToken, MetricsRegistry, TelemetryHub,
-    TelemetrySampler,
+    atomic_write, fnv1a64, fnv1a64_extend, MetricsRegistry, TelemetryHub, TelemetrySampler,
 };
 use std::collections::BTreeMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// First line of every journal, bumped on format changes.
 const JOURNAL_MAGIC: &str = "hswx-campaign v3";
@@ -51,12 +46,8 @@ pub struct SupervisorConfig {
     pub resume: bool,
     /// fsync the journal (and its directory) on every commit.
     pub fsync: bool,
-    /// Attempts per job before it counts as failed (>= 1).
-    pub max_attempts: u32,
-    /// Per-job wall-clock watchdog deadline.
-    pub job_deadline: Option<Duration>,
     /// Sample simulated-time telemetry during every job (an ambient
-    /// [`TelemetryHub`] per attempt). Per-channel totals land in the
+    /// [`TelemetryHub`] per job). Per-channel totals land in the
     /// journal and manifest; the merged series is available from
     /// [`CampaignSummary::telemetry_merged`]. Off by default: sampling is
     /// proven transparent, but the armed walk path is not free.
@@ -70,8 +61,6 @@ impl Default for SupervisorConfig {
             journal: PathBuf::from("results/campaign.journal"),
             resume: false,
             fsync: false,
-            max_attempts: 2,
-            job_deadline: None,
             telemetry: false,
         }
     }
@@ -82,14 +71,12 @@ impl Default for SupervisorConfig {
 pub struct JournalEntry {
     /// FNV-1a 64 digest over the job's artifact names and bytes.
     pub digest: u64,
-    /// Attempts the job needed (1 = first try).
-    pub attempts: u32,
     /// Artifact file names, in write order.
     pub files: Vec<String>,
-    /// Counter snapshot from the job's successful attempt (sorted by
-    /// name): every simulator the job built drained its walk, snoop,
-    /// HitME, directory, DRAM, and QPI counters here. Not part
-    /// of the artifact digest — metrics describe the run, not the result.
+    /// Counter snapshot from the job's run (sorted by name): every
+    /// simulator the job built drained its walk, snoop, HitME, directory,
+    /// DRAM, and QPI counters here. Not part of the artifact digest —
+    /// metrics describe the run, not the result.
     pub metrics: Vec<(String, u64)>,
     /// Per-channel telemetry totals (sorted by name), present when the
     /// campaign sampled telemetry. Like `metrics`, not digested.
@@ -106,8 +93,8 @@ pub struct JobReport {
     /// True when the job was skipped because the journal already had a
     /// verified entry for it.
     pub resumed: bool,
-    /// Full simulated-time series the job's attempt sampled (jobs run
-    /// this invocation with telemetry on; journal-resumed jobs keep only
+    /// Full simulated-time series the job sampled (jobs run this
+    /// invocation with telemetry on; journal-resumed jobs keep only
     /// the totals in their entry).
     pub sampler: Option<TelemetrySampler>,
 }
@@ -117,7 +104,7 @@ pub struct JobReport {
 pub struct CampaignSummary {
     /// Jobs that committed this run or verified on resume.
     pub completed: Vec<JobReport>,
-    /// `(job id, error)` for jobs that exhausted their attempts.
+    /// `(job id, error)` for jobs that failed.
     pub failed: Vec<(String, String)>,
 }
 
@@ -159,11 +146,10 @@ impl fmt::Display for CampaignSummary {
         for r in &self.completed {
             writeln!(
                 f,
-                "{:<18} {} digest={:016x} attempts={}",
+                "{:<18} {} digest={:016x}",
                 r.id,
                 if r.resumed { "skipped (journal)" } else { "done             " },
                 r.entry.digest,
-                r.entry.attempts,
             )?;
         }
         for (id, err) in &self.failed {
@@ -190,10 +176,9 @@ impl Supervisor {
         Supervisor { cfg }
     }
 
-    /// Run `jobs` to completion (or bounded failure) and return the
-    /// summary. Errors only on environmental problems (unwritable output
-    /// directory, corrupt journal header); job failures are reported in
-    /// the summary instead.
+    /// Run each of `jobs` once and return the summary. Errors only on
+    /// environmental problems (unwritable output directory, corrupt
+    /// journal header); job failures are reported in the summary instead.
     pub fn run(&self, jobs: &[JobSpec]) -> Result<CampaignSummary, String> {
         let cfg = &self.cfg;
         std::fs::create_dir_all(&cfg.out_dir)
@@ -227,8 +212,8 @@ impl Supervisor {
         Ok(summary)
     }
 
-    /// Run one job with bounded retries and a per-attempt watchdog, then
-    /// atomically persist its artifacts and journal entry.
+    /// Run one job once, then atomically persist its artifacts and
+    /// journal entry. A panic fails the job.
     fn run_job(
         &self,
         job: &JobSpec,
@@ -242,78 +227,55 @@ impl Supervisor {
             self.cfg.out_dir.join(format!(".ckpt-{}", job.id)),
             self.cfg.fsync,
         );
-        let mut last_err = String::from("job never ran");
-        for attempts in 1..=self.cfg.max_attempts.max(1) {
-            // The ambient token reaches every `System` the job constructs,
-            // including on the cell runner's pool threads; a deadline
-            // overrun turns the next walk into a typed Cancelled error. The
-            // ambient registry rides along the same way: each simulator
-            // drains its counters into it on drop, and a fresh registry
-            // per attempt keeps failed attempts from polluting the totals.
-            let _watchdog = self.cfg.job_deadline.map(|d| {
-                CancelToken::set_ambient(CancelToken::with_deadline(d))
-            });
-            let registry = Arc::new(MetricsRegistry::new());
-            let _metrics = MetricsRegistry::set_ambient(Arc::clone(&registry));
-            // Telemetry rides the same ambient pattern: every simulator
-            // the job builds samples into a fresh per-attempt hub, so a
-            // failed attempt's partial series is discarded with it.
-            let hub = self
-                .cfg
-                .telemetry
-                .then(|| Arc::new(TelemetryHub::default()));
-            let _telemetry = hub.as_ref().map(|h| TelemetryHub::set_ambient(Arc::clone(h)));
-            let run = || job.run(Some(&checkpoint));
-            let output = match catch_unwind(AssertUnwindSafe(run)) {
-                Ok(output) => output,
-                Err(payload) => {
-                    last_err = panic_message(payload);
-                    continue;
-                }
-            };
-            for (name, body) in &output.files {
-                let path = self.cfg.out_dir.join(name);
-                atomic_write(&path, body.as_bytes(), self.cfg.fsync)
-                    .map_err(|e| format!("{}: {e}", path.display()))?;
-            }
-            let sampler = hub.map(|h| h.collect()).filter(|s| !s.is_empty());
-            let telemetry = sampler.as_ref().map_or_else(Vec::new, |s| {
-                let mut totals: Vec<(String, u64)> = s
-                    .channel_names()
-                    .iter()
-                    .map(|n| (n.to_string(), s.channel_total(n)))
-                    .collect();
-                totals.sort();
-                totals
-            });
-            let entry = JournalEntry {
-                digest: digest_output(&output),
-                attempts,
-                files: output.files.iter().map(|(n, _)| n.clone()).collect(),
-                metrics: registry.counters_snapshot(),
-                telemetry,
-            };
-            done.insert(job.id.to_string(), entry.clone());
-            self.persist_journal(done)?;
-            // The journal is now the durable record; the mid-job checkpoint
-            // has served its purpose.
-            checkpoint.discard();
-            return Ok(JobReport { id: job.id.to_string(), entry, resumed: false, sampler });
+        // The ambient registry reaches every `System` the job constructs,
+        // including on the cell runner's pool threads: each simulator
+        // drains its counters into it on drop.
+        let registry = Arc::new(MetricsRegistry::new());
+        let _metrics = MetricsRegistry::set_ambient(Arc::clone(&registry));
+        // Telemetry rides the same ambient pattern: every simulator the
+        // job builds samples into a fresh per-job hub.
+        let hub = self
+            .cfg
+            .telemetry
+            .then(|| Arc::new(TelemetryHub::default()));
+        let _telemetry = hub.as_ref().map(|h| TelemetryHub::set_ambient(Arc::clone(h)));
+        let run = || job.run(Some(&checkpoint));
+        let output = catch_unwind(AssertUnwindSafe(run)).map_err(panic_message)?;
+        for (name, body) in &output.files {
+            let path = self.cfg.out_dir.join(name);
+            atomic_write(&path, body.as_bytes(), self.cfg.fsync)
+                .map_err(|e| format!("{}: {e}", path.display()))?;
         }
-        Err(format!(
-            "failed after {} attempt{}: {last_err}",
-            self.cfg.max_attempts.max(1),
-            if self.cfg.max_attempts > 1 { "s" } else { "" }
-        ))
+        let sampler = hub.map(|h| h.collect()).filter(|s| !s.is_empty());
+        let telemetry = sampler.as_ref().map_or_else(Vec::new, |s| {
+            let mut totals: Vec<(String, u64)> = s
+                .channel_names()
+                .iter()
+                .map(|n| (n.to_string(), s.channel_total(n)))
+                .collect();
+            totals.sort();
+            totals
+        });
+        let entry = JournalEntry {
+            digest: digest_output(&output),
+            files: output.files.iter().map(|(n, _)| n.clone()).collect(),
+            metrics: registry.counters_snapshot(),
+            telemetry,
+        };
+        done.insert(job.id.to_string(), entry.clone());
+        self.persist_journal(done)?;
+        // The journal is now the durable record; the mid-job checkpoint
+        // has served its purpose.
+        checkpoint.discard();
+        Ok(JobReport { id: job.id.to_string(), entry, resumed: false, sampler })
     }
 
     fn persist_journal(&self, entries: &BTreeMap<String, JournalEntry>) -> Result<(), String> {
         let mut text = format!("{JOURNAL_MAGIC}\n");
         for (id, e) in entries {
             text.push_str(&format!(
-                "done {id} digest={:016x} attempts={} files={}{}{}\n",
+                "done {id} digest={:016x} files={}{}{}\n",
                 e.digest,
-                e.attempts,
                 e.files.join(","),
                 render_totals("metrics", &e.metrics),
                 render_totals("telemetry", &e.telemetry),
@@ -453,7 +415,6 @@ fn parse_done_line(line: &str) -> Option<(String, JournalEntry)> {
     }
     let id = parts.next()?.to_string();
     let mut digest = None;
-    let mut attempts = None;
     let mut files = None;
     let mut metrics = Vec::new();
     let mut telemetry = Vec::new();
@@ -461,25 +422,17 @@ fn parse_done_line(line: &str) -> Option<(String, JournalEntry)> {
         let (k, v) = kv.split_once('=')?;
         match k {
             "digest" => digest = u64::from_str_radix(v, 16).ok(),
-            "attempts" => attempts = v.parse().ok(),
             "files" => files = Some(v.split(',').map(str::to_string).collect()),
             // Both absent in older journals; malformed pairs are dropped
             // rather than failing the whole line.
             "metrics" => metrics = parse_totals(v),
             "telemetry" => telemetry = parse_totals(v),
-            _ => {} // forward compatibility: ignore unknown keys
+            // Forward compatibility: ignore unknown keys (and `attempts`,
+            // which older journals carry).
+            _ => {}
         }
     }
-    Some((
-        id,
-        JournalEntry {
-            digest: digest?,
-            attempts: attempts?,
-            files: files?,
-            metrics,
-            telemetry,
-        },
-    ))
+    Some((id, JournalEntry { digest: digest?, files: files?, metrics, telemetry }))
 }
 
 /// Select `ids` from `all`, keeping the registry's order. Unknown ids are
@@ -525,35 +478,12 @@ mod tests {
         JobOutput { files: vec![("dep.txt".into(), "dep\n".into())] }
     }
 
+    /// Calls of `always_panics`.
+    static PANICKING_CALLS: AtomicU32 = AtomicU32::new(0);
+
     fn always_panics(_: &mut Cells) -> JobOutput {
+        PANICKING_CALLS.fetch_add(1, Ordering::Relaxed);
         panic!("deliberate job failure");
-    }
-
-    /// Fails its first call on each thread and succeeds on the retry,
-    /// which the supervisor runs on the same thread.
-    fn flaky_job(_: &mut Cells) -> JobOutput {
-        thread_local!(static CALLS: std::cell::Cell<u32> = const { std::cell::Cell::new(0) });
-        let calls = CALLS.replace(CALLS.get() + 1) + 1;
-        if calls == 1 {
-            panic!("flaky first attempt");
-        }
-        JobOutput { files: vec![("flaky.txt".into(), format!("call {calls}\n"))] }
-    }
-
-    /// Walks forever; only the ambient watchdog can stop it.
-    fn wedged_job(_: &mut Cells) -> JobOutput {
-        let mut sys = System::new(SystemConfig::e5_2680_v3(CoherenceMode::SourceSnoop));
-        let mut t = SimTime::ZERO;
-        let mut i = 0u64;
-        loop {
-            match sys.try_read(CoreId(0), LineAddr(i % 4096), t) {
-                Ok(out) => {
-                    t = out.done;
-                    i += 1;
-                }
-                Err(e) => panic!("{e}"),
-            }
-        }
     }
 
     #[test]
@@ -616,48 +546,20 @@ mod tests {
     #[test]
     fn failed_job_does_not_stop_the_next() {
         let dir = tmp_dir("failed");
-        let mut cfg = cfg_for(&dir);
-        cfg.max_attempts = 1;
         let jobs = [
             JobSpec { id: "bad", build: always_panics },
             JobSpec { id: "next", build: ok_job },
             JobSpec { id: "last", build: dep_job },
         ];
-        let summary = Supervisor::new(cfg).run(&jobs).unwrap();
+        let summary = Supervisor::new(cfg_for(&dir)).run(&jobs).unwrap();
         assert!(!summary.ok(), "{summary}");
         assert_eq!(summary.failed.len(), 1);
         assert!(summary.failed[0].1.contains("deliberate job failure"));
+        // The failed job runs once: being deterministic, it would only
+        // fail the same way again.
+        assert_eq!(PANICKING_CALLS.load(Ordering::Relaxed), 1);
         let ran: Vec<&str> = summary.completed.iter().map(|r| r.id.as_str()).collect();
         assert_eq!(ran, ["next", "last"], "{summary}");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn bounded_retry_reruns_a_failed_attempt() {
-        let dir = tmp_dir("retry");
-        let jobs = [JobSpec { id: "flaky", build: flaky_job }];
-        let summary = Supervisor::new(cfg_for(&dir)).run(&jobs).unwrap();
-        assert!(summary.ok(), "{summary}");
-        assert_eq!(summary.completed[0].entry.attempts, 2);
-        let body = std::fs::read_to_string(dir.join("flaky.txt")).unwrap();
-        assert_eq!(body, "call 2\n");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn watchdog_deadline_cancels_a_wedged_job() {
-        let dir = tmp_dir("watchdog");
-        let mut cfg = cfg_for(&dir);
-        cfg.max_attempts = 1;
-        cfg.job_deadline = Some(Duration::from_millis(40));
-        let jobs = [JobSpec { id: "wedged", build: wedged_job }];
-        let summary = Supervisor::new(cfg).run(&jobs).unwrap();
-        assert_eq!(summary.failed.len(), 1, "{summary}");
-        assert!(
-            summary.failed[0].1.contains("cancelled"),
-            "expected a cancellation, got: {}",
-            summary.failed[0].1
-        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -665,21 +567,24 @@ mod tests {
     fn journal_lines_round_trip() {
         let entry = JournalEntry {
             digest: 0xdead_beef_0102_0304,
-            attempts: 3,
             files: vec!["x.txt".into(), "x.csv".into()],
             metrics: vec![("snoop.sent".into(), 42), ("sys.walks".into(), 7)],
             telemetry: vec![("qpi.bytes".into(), 640), ("ring.busy_ps".into(), 9000)],
         };
-        let line = format!(
-            "done myjob digest={:016x} attempts={} files=x.txt,x.csv{}{}",
-            entry.digest,
-            entry.attempts,
+        let totals = format!(
+            "{}{}",
             render_totals("metrics", &entry.metrics),
-            render_totals("telemetry", &entry.telemetry),
+            render_totals("telemetry", &entry.telemetry)
         );
+        let line = format!("done myjob digest={:016x} files=x.txt,x.csv{totals}", entry.digest);
         let (id, parsed) = parse_done_line(&line).unwrap();
         assert_eq!(id, "myjob");
         assert_eq!(parsed, entry);
+        // Older journals carry an `attempts` count on every line; it is
+        // ignored, so such a line parses into the same entry.
+        let old =
+            format!("done myjob digest={:016x} attempts=2 files=x.txt,x.csv{totals}", entry.digest);
+        assert_eq!(parse_done_line(&old), Some(("myjob".to_string(), entry)));
         // Pre-metrics journals parse with empty metrics.
         let legacy = "done old digest=00000000000000ff attempts=1 files=a.csv";
         let (_, old) = parse_done_line(legacy).unwrap();
@@ -716,16 +621,15 @@ mod tests {
         assert!(Supervisor::new(cfg_for(&ref_dir)).run(&jobs).unwrap().ok());
         let reference = std::fs::read(ref_dir.join("sweep.txt")).unwrap();
 
-        // Interrupted run: the job dies after 3 cells on every attempt,
-        // so the campaign fails — but the checkpoint survives.
+        // Interrupted run: the job dies after 3 cells, so the campaign
+        // fails — but the checkpoint survives.
         let dir = tmp_dir("ckpt-kill");
-        let mut cfg = cfg_for(&dir);
-        cfg.max_attempts = 1;
+        let cfg = cfg_for(&dir);
         SWEEP_DIES.store(true, Ordering::Relaxed);
         let summary = Supervisor::new(cfg.clone()).run(&jobs).unwrap();
         SWEEP_DIES.store(false, Ordering::Relaxed);
         assert_eq!(summary.failed.len(), 1, "{summary}");
-        // The attempt error names every failed cell, and only those.
+        // The job's error names every failed cell, and only those.
         let named = |s: u64| summary.failed[0].1.contains(&format!(r#"["sweep", "sqrt", "{s}"]"#));
         assert!((3..8).all(named) && !(0..3).any(named), "{summary}");
         let ckpt_path = dir.join(".ckpt-sweep");
@@ -854,8 +758,8 @@ mod tests {
     }
 
     #[test]
-    fn attempts_counter_is_not_shared_between_jobs() {
-        // Two independent jobs; each gets its own attempt loop.
+    fn each_job_is_built_once() {
+        // Two independent jobs without cells; each is built exactly once.
         static CALLS: AtomicU32 = AtomicU32::new(0);
         fn counting(_: &mut Cells) -> JobOutput {
             CALLS.fetch_add(1, Ordering::Relaxed);

@@ -59,16 +59,6 @@ pub enum SimError {
         /// Protocol steps recorded for the failing access.
         transcript: Vec<(SimTime, ProtoStep)>,
     },
-    /// The supervising harness cancelled the run (watchdog deadline or
-    /// explicit abort); the walk stopped before touching any state.
-    Cancelled {
-        /// Requesting core.
-        core: CoreId,
-        /// Requested line.
-        line: LineAddr,
-        /// Protocol steps recorded for the failing access.
-        transcript: Vec<(SimTime, ProtoStep)>,
-    },
 }
 
 impl SimError {
@@ -77,8 +67,7 @@ impl SimError {
         match self {
             SimError::UnexpectedAction { transcript, .. }
             | SimError::InvariantViolation { transcript, .. }
-            | SimError::WalkWatchdog { transcript, .. }
-            | SimError::Cancelled { transcript, .. } => transcript,
+            | SimError::WalkWatchdog { transcript, .. } => transcript,
         }
     }
 
@@ -125,10 +114,6 @@ impl fmt::Display for SimError {
                      (limit {limit_ns:.1}) in {steps} protocol messages (limit {step_limit})"
                 )
             }
-            SimError::Cancelled { core, line, .. } => write!(
-                f,
-                "run cancelled by supervisor before access by core {core:?} to line {line:?}"
-            ),
         }
     }
 }

@@ -25,7 +25,7 @@ use hswx_coherence::{
     HitMeEntry, InMemoryDirectory, L3Meta, MesifState, NodeSet, ProtocolConfig, ReqType, SnoopMode,
 };
 use hswx_engine::{
-    fnv1a64, fnv1a64_extend, Booking, CancelToken, FxHashMap, MetricsRegistry, SimDuration,
+    fnv1a64, fnv1a64_extend, Booking, FxHashMap, MetricsRegistry, SimDuration,
     SimTime, SpanId, SpanRecorder, TelemetryHub, TelemetrySampler, ThroughputResource, TimedPool,
 };
 use hswx_mem::{
@@ -210,15 +210,13 @@ enum Probe {
     WcDrain,
     /// Non-temporal store draining into DRAM.
     DramDrain,
-    /// Walk refused by a cancelled supervisor token.
-    WalkAbort,
 }
 
 impl Probe {
     /// Span tracer: the span's name and category.
     fn span(self) -> Option<(&'static str, &'static str)> {
         Some(match self {
-            Probe::Step(_) | Probe::WalkAbort => return None,
+            Probe::Step(_) => return None,
             Probe::Walk { write: false } => ("read", "walk"),
             Probe::Walk { write: true } => ("write", "walk"),
             Probe::PrivateHit { level: 1 } => ("l1_hit", "core"),
@@ -275,7 +273,6 @@ impl Probe {
             // already has the data ("hit").
             Probe::DirectoryRead { state: DirState::RemoteInvalid } => ("directory.remote_invalid", 1),
             Probe::DirectoryRead { .. } => ("directory.snoop_needed", 1),
-            Probe::WalkAbort => ("cancel.aborts", 1),
             _ => return None,
         })
     }
@@ -372,13 +369,6 @@ pub struct System {
     walk_steps: u32,
     /// Pending injected message faults (see [`crate::inject`]).
     pub(crate) faults: FaultState,
-    /// Cooperative cancellation handle, captured from the ambient
-    /// thread-local at construction (see `hswx_engine::cancel`). `None`
-    /// outside supervised runs — the common case — costs one `Option`
-    /// check per walk.
-    cancel: Option<CancelToken>,
-    /// Stride counter for the cancel token's deadline polling.
-    cancel_polls: u32,
     /// Structured span tracer (see `hswx_engine::trace`); `None` — the
     /// default — leaves walks on their uninstrumented copies.
     tracer: Option<Box<SpanRecorder>>,
@@ -504,8 +494,6 @@ impl System {
             txn_count: 0,
             walk_steps: 0,
             faults: FaultState::default(),
-            cancel: CancelToken::ambient(),
-            cancel_polls: 0,
             tracer: None,
             sampler: TelemetryHub::ambient().map(|h| Box::new(h.sampler())),
             telemetry_hub: TelemetryHub::ambient(),
@@ -530,9 +518,9 @@ impl System {
     /// snoop-responder times, pending injected faults, the monitor, stats,
     /// snoop fan-out tallies and the telemetry sampler with its partial
     /// series. Host-side scratch starts empty, no tracer is attached, and
-    /// the cancel token, metrics registry and telemetry hub are captured
-    /// from the calling thread's ambient handles, as [`System::new`] does;
-    /// without a sampler to copy, the fork takes the ambient hub's, too.
+    /// the metrics registry and telemetry hub are captured from the
+    /// calling thread's ambient handles, as [`System::new`] does; without
+    /// a sampler to copy, the fork takes the ambient hub's, too.
     ///
     /// A fork publishes its stats and telemetry on drop like any `System`,
     /// so a fork of a warmed system republishes the warm-up's counters. A
@@ -565,8 +553,6 @@ impl System {
             txn_count: self.txn_count,
             walk_steps: 0,
             faults: self.faults.clone(),
-            cancel: CancelToken::ambient(),
-            cancel_polls: 0,
             tracer: None,
             sampler: self
                 .sampler
@@ -901,42 +887,6 @@ impl System {
         }
     }
 
-    /// Gate a walk before it mutates anything: a cancelled supervisor
-    /// token aborts with a typed error while every cache, directory, and
-    /// statistic is still exactly as it was.
-    ///
-    /// The common case — no supervisor token — must cost one predictable
-    /// branch per walk: the kernels in `hswx-bench::perf` issue tens of
-    /// millions of walks per second, so everything else lives in the
-    /// outlined `#[cold]` slow path.
-    #[inline(always)]
-    fn walk_gate(&mut self, core: CoreId, line: LineAddr) -> Option<SimError> {
-        if self.cancel.is_some() {
-            self.walk_gate_slow(core, line)
-        } else {
-            None
-        }
-    }
-
-    #[cold]
-    #[inline(never)]
-    fn walk_gate_slow(&mut self, core: CoreId, line: LineAddr) -> Option<SimError> {
-        if self.cancel_requested() {
-            return Some(SimError::Cancelled { core, line, transcript: self.error_transcript() });
-        }
-        None
-    }
-
-    /// Poll the ambient cancellation token, if one was installed when this
-    /// system was built. Take/put keeps the borrow checker happy while the
-    /// token updates the strided poll counter.
-    fn cancel_requested(&mut self) -> bool {
-        let Some(tok) = self.cancel.take() else { return false };
-        let hit = tok.should_abort(&mut self.cancel_polls);
-        self.cancel = Some(tok);
-        hit
-    }
-
     /// Collect the transcript for an error: consume a monitor-armed trace,
     /// or snapshot a user-armed one without disarming it. Cold path — only
     /// reached when a walk is about to return an error.
@@ -1176,10 +1126,6 @@ impl System {
         line: LineAddr,
         t: SimTime,
     ) -> Result<AccessOutcome, SimError> {
-        if let Some(err) = self.walk_gate(core, line) {
-            self.probe::<TRACED>(Probe::WalkAbort, t, t);
-            return Err(err);
-        }
         let ci = core.0 as usize;
         // L1 hit.
         if let Some(&st) = self.l1[ci].access(line).map(|s| &*s) {
@@ -1774,10 +1720,6 @@ impl System {
         line: LineAddr,
         t: SimTime,
     ) -> Result<AccessOutcome, SimError> {
-        if let Some(err) = self.walk_gate(core, line) {
-            self.probe::<TRACED>(Probe::WalkAbort, t, t);
-            return Err(err);
-        }
         let ci = core.0 as usize;
         if let Some(st) = self.l1[ci].access(line) {
             if st.can_write() {

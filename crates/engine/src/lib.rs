@@ -11,9 +11,6 @@
 //!   reproducible from a seed.
 //! * [`fxhash`] — a deterministic multiply-xor hasher ([`FxHashMap`]) for
 //!   hot-path maps keyed by trusted simulation state.
-//! * [`cancel`] — cooperative cancellation tokens with wall-clock
-//!   deadlines, propagated ambiently per thread so supervisors can reach
-//!   walks deep inside scenario code.
 //! * [`fsio`] — crash-consistent `atomic_write` (tmp + `rename`, optional
 //!   fsync) and the stable [`fnv1a64`] content digest used by campaign
 //!   journals and golden-outcome checks.
@@ -31,7 +28,6 @@
 //! The engine knows nothing about caches or coherence; it is a generic DES
 //! toolkit kept separate so its invariants can be tested in isolation.
 
-pub mod cancel;
 pub mod fsio;
 pub mod fxhash;
 pub mod metrics;
@@ -42,7 +38,6 @@ pub mod telemetry;
 pub mod time;
 pub mod trace;
 
-pub use cancel::CancelToken;
 pub use fsio::{atomic_write, fnv1a64, fnv1a64_extend};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use metrics::MetricsRegistry;

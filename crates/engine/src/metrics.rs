@@ -5,10 +5,10 @@
 //! afterwards is a relaxed atomic add, so hot paths can hold on to the
 //! returned `Arc` and count without synchronization.
 //!
-//! Like [`crate::CancelToken`], a registry propagates *ambiently*: a
-//! supervisor installs one for the current worker thread with
-//! [`MetricsRegistry::set_ambient`] and any simulator constructed on that
-//! thread picks it up via [`MetricsRegistry::ambient`]. With no registry
+//! A registry propagates *ambiently*: a supervisor installs one for the
+//! current worker thread with [`MetricsRegistry::set_ambient`] and any
+//! simulator constructed on that thread picks it up via
+//! [`MetricsRegistry::ambient`]. With no registry
 //! installed (the default, and the perf-bench configuration) the
 //! simulator pays a single `Option` check per walk.
 
