@@ -55,3 +55,40 @@ fn trace_export_is_pinned() {
     let _ = std::fs::remove_file(&path);
     assert_digest(args, &json, 0x302A7D63442BA84C);
 }
+
+#[test]
+fn out_of_range_scenario_flags_are_errors() {
+    // A core, node or size the simulated system cannot hold is an
+    // `error:` line and exit 1, never a panic or a measurement of a node
+    // that does not exist. Cluster-on-die has four nodes, the other
+    // modes two; the system has 24 cores and a buffer holds 64 B to 1 GiB.
+    let out = std::env::temp_dir().join(format!("hswx-range-{}.json", std::process::id()));
+    let trace = format!("--out {}", out.display());
+    for (args, error) in [
+        ("bandwidth --home 9", "--home 9 out of range (0..2)"),
+        ("explain --home 9", "--home 9 out of range (0..2)"),
+        (&format!("trace --home 9 {trace}"), "--home 9 out of range (0..2)"),
+        ("latency --mode cod --home 4", "--home 4 out of range (0..4)"),
+        ("latency --measurer 99", "--measurer 99 out of range (0..24)"),
+        ("bandwidth --measurer 99", "--measurer 99 out of range (0..24)"),
+        ("explain --measurer 99", "--measurer 99 out of range (0..24)"),
+        ("latency --placer 99", "--placer 99 out of range (0..24)"),
+        ("explain fig7 --home 9", "--home 9 out of range (0..4)"),
+        ("explain fig7 --fwd 4", "--fwd 4 out of range (0..4)"),
+        ("latency --size 0", "--size 0 out of range (64..=1073741824)"),
+        ("bandwidth --size 0", "--size 0 out of range (64..=1073741824)"),
+        (&format!("trace --size 0 {trace}"), "--size 0 out of range (64..=1073741824)"),
+        ("explain fig7 0", "SIZE_KIB 0 out of range (1..=1048576)"),
+    ] {
+        let run = Command::new(env!("CARGO_BIN_EXE_hswx"))
+            .args(args.split(' '))
+            .output()
+            .expect("run hswx");
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(run.status.code(), Some(1), "hswx {args}: {stderr}");
+        assert_eq!(stderr, format!("error: {error}\n"), "hswx {args}");
+    }
+    assert!(!out.exists(), "a refused trace wrote {}", out.display());
+    // The last node of cluster-on-die is in range.
+    let _ = hswx_stdout("explain --mode cod --home 3");
+}
