@@ -12,7 +12,6 @@ pub mod checkpoint;
 pub mod diffcmp;
 pub mod jobs;
 pub mod parallel;
-pub mod perf;
 pub mod scenarios;
 pub mod supervisor;
 

@@ -1,8 +1,8 @@
 //! Batch-walk API: pipelined dispatch of many independent accesses.
 //!
-//! The long-walk path (`mem_walk`, placement sweeps, the fig4 latency
-//! curves) issues millions of accesses whose *addresses* are all known up
-//! front even though their *issue times* chain one after another. A
+//! The long-walk path (placement sweeps, the fig4 latency curves) issues
+//! millions of accesses whose *addresses* are all known up front even
+//! though their *issue times* chain one after another. A
 //! sequential `read`/`write` loop executes each walk as a dependent chain
 //! of cold host-memory loads over the simulator's own metadata — slice tag
 //! arrays alone are ~320 KiB per L3 slice, so consecutive walks almost

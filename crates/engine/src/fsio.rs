@@ -1,10 +1,11 @@
 //! Crash-consistent file output and stable content digests.
 //!
 //! Every result artifact the workspace persists (figure/table CSVs, the
-//! campaign journal, perf baselines) goes through [`atomic_write`]: the
-//! bytes land in a same-directory temporary file which is then `rename`d
-//! over the destination, so a reader — or a resumed campaign — can never
-//! observe a truncated file, only the old contents or the new.
+//! campaign journal and manifest, the metrics, telemetry and trace
+//! exports) goes through [`atomic_write`]: the bytes land in a
+//! same-directory temporary file which is then `rename`d over the
+//! destination, so a reader — or a resumed campaign — can never observe a
+//! truncated file, only the old contents or the new.
 //!
 //! [`fnv1a64`] is the workspace's stable content digest (FNV-1a, 64-bit):
 //! deterministic across runs, platforms, and processes, unlike the seeded

@@ -108,8 +108,8 @@ impl CampaignReport {
     }
 
     /// Machine-readable JSON rendering (for `hswx faultcheck --json` and
-    /// CI artifacts). Hand-rolled like the perf baseline writer — no
-    /// external dependency, stable key order.
+    /// CI artifacts). Hand-rolled — no external dependency, stable key
+    /// order.
     pub fn to_json(&self) -> String {
         fn esc(s: &str) -> String {
             let mut out = String::with_capacity(s.len());
