@@ -350,11 +350,15 @@ impl Supervisor {
                 }
             }
         }
-        // Exact reproduction recipe: the command and the reference-config
-        // digest this campaign ran under. Comment-prefixed so
-        // one-line-per-artifact consumers are unaffected.
+        // Exact reproduction recipe: the command, naming the jobs listed
+        // above (`select_jobs` runs them in registry order), and the
+        // reference-config digest this campaign ran under.
+        // Comment-prefixed so one-line-per-artifact consumers are
+        // unaffected.
+        let ids: Vec<&str> = entries.keys().map(String::as_str).collect();
         text.push_str(&format!(
-            "# reproduce: hswx campaign --out <dir>  (config digest {:016x})\n",
+            "# reproduce: hswx campaign --out <dir> --jobs {}  (config digest {:016x})\n",
+            ids.join(","),
             reference_digest(),
         ));
         let path = self.cfg.out_dir.join("manifest.txt");
@@ -676,14 +680,16 @@ mod tests {
     #[test]
     fn manifest_carries_a_reproduce_line() {
         let dir = tmp_dir("manifest");
-        let jobs = [JobSpec { id: "a", build: dep_job }];
+        let all = ["a", "b", "c"].map(|id| JobSpec { id, build: dep_job });
+        let jobs = select_jobs(&all, &["c", "a"]).unwrap();
         assert!(Supervisor::new(cfg_for(&dir)).run(&jobs).unwrap().ok());
         let manifest = std::fs::read_to_string(dir.join("manifest.txt")).unwrap();
         let line = manifest
             .lines()
             .find(|l| l.starts_with("# reproduce:"))
             .unwrap_or_else(|| panic!("no reproduce line in {manifest}"));
-        assert!(line.contains("hswx campaign --out <dir>"), "{line}");
+        // Followed as written, the line reruns exactly the two jobs.
+        assert!(line.contains("hswx campaign --out <dir> --jobs a,c  "), "{line}");
         assert!(line.contains("config digest"), "{line}");
         let _ = std::fs::remove_dir_all(&dir);
     }
