@@ -62,6 +62,8 @@ fn out_of_range_scenario_flags_are_errors() {
     // `error:` line and exit 1, never a panic or a measurement of a node
     // that does not exist. Cluster-on-die has four nodes, the other
     // modes two; the system has 24 cores and a buffer holds 64 B to 1 GiB.
+    // A stream stores one way, so `--write` with `--write-nt` is refused
+    // rather than measured as either.
     let out = std::env::temp_dir().join(format!("hswx-range-{}.json", std::process::id()));
     let trace = format!("--out {}", out.display());
     for (args, error) in [
@@ -79,6 +81,7 @@ fn out_of_range_scenario_flags_are_errors() {
         ("bandwidth --size 0", "--size 0 out of range (64..=1073741824)"),
         (&format!("trace --size 0 {trace}"), "--size 0 out of range (64..=1073741824)"),
         ("explain fig7 0", "SIZE_KIB 0 out of range (1..=1048576)"),
+        ("bandwidth --write --write-nt", "--write and --write-nt are exclusive: pick one store kind"),
     ] {
         let run = Command::new(env!("CARGO_BIN_EXE_hswx"))
             .args(args.split(' '))
