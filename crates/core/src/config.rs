@@ -6,7 +6,7 @@
 
 use crate::calib::Calib;
 use hswx_coherence::ProtocolConfig;
-use hswx_engine::{fnv1a64, SnapWriter};
+use hswx_engine::{fnv1a64, fnv1a64_extend};
 use hswx_mem::{CacheGeometry, DdrTimings, Replacement};
 use hswx_topology::DieVariant;
 use serde::{Deserialize, Serialize};
@@ -341,9 +341,9 @@ impl SystemConfig {
     }
 }
 
-/// Schema word of the frame that [`SystemConfig::digest`] hashes. Frozen:
-/// sweep checkpoint keys and campaign manifests carry the digest, so a new
-/// word would orphan every checkpoint and manifest written before it.
+/// Schema word that [`SystemConfig::digest`] hashes. Frozen: sweep
+/// checkpoint keys and campaign manifests carry the digest, so a new word
+/// would orphan every checkpoint and manifest written before it.
 const DIGEST_SCHEMA: u32 = 5;
 
 impl SystemConfig {
@@ -353,9 +353,18 @@ impl SystemConfig {
     /// changes it. Sweep checkpoint keys and campaign manifests use it to
     /// prove a resumed run is replaying the same machine.
     pub fn digest(&self) -> u64 {
-        let mut w = SnapWriter::new(DIGEST_SCHEMA);
-        encode_config(&mut w, self);
-        fnv1a64(&w.finish())
+        let mut payload = Vec::with_capacity(512);
+        encode_config(&mut payload, self);
+        // The hashed bytes are those of the binary frame the checkpoint
+        // files once used: magic, schema word, payload length, payload,
+        // then the frame's own digest. The magic word and the framing stay
+        // so that the digest, and every key and manifest carrying it,
+        // keeps its value.
+        let mut h = fnv1a64(b"HSWXSNAP");
+        h = fnv1a64_extend(h, &DIGEST_SCHEMA.to_le_bytes());
+        h = fnv1a64_extend(h, &(payload.len() as u64).to_le_bytes());
+        h = fnv1a64_extend(h, &payload);
+        fnv1a64_extend(h, &h.to_le_bytes())
     }
 }
 
@@ -383,68 +392,68 @@ fn repl_tag(r: Replacement) -> u8 {
     }
 }
 
-fn encode_calib(w: &mut SnapWriter, c: &Calib) {
-    w.f64(c.core_ghz);
-    w.f64(c.avx_ghz);
-    w.f64(c.t_l1);
-    w.f64(c.t_l2);
-    w.f64(c.t_miss_path);
-    w.f64(c.t_fill);
-    w.f64(c.t_inject);
-    w.f64(c.t_hop);
-    w.f64(c.t_queue);
-    w.f64(c.t_qpi);
-    w.f64(c.t_l3_tag);
-    w.f64(c.t_l3_array);
-    w.f64(c.t_probe);
-    w.f64(c.t_probe_l2_fwd);
-    w.f64(c.t_probe_l1_fwd);
-    w.f64(c.t_ha);
-    w.f64(c.t_ca_fwd);
-    w.f64(c.t_home_snoop_issue);
-    w.f64(c.t_mem_ctl);
-    w.f64(c.t_hitme);
-    w.u32(c.lfb_per_core);
-    w.u32(c.streamer_depth);
-    w.f64(c.t_uncore_gap);
-    w.f64(c.t_fwd_occ_miss);
-    w.f64(c.t_fwd_occ_l2);
-    w.f64(c.t_fwd_occ_l1);
-    w.f64(c.qpi_gb_s);
-    w.f64(c.l3_port_gb_s);
-    w.f64(c.l2_port_avx_gb_s);
-    w.f64(c.l2_port_sse_gb_s);
-    w.u32(c.trackers_source_remote);
-    w.u32(c.trackers_other);
-    w.u32(c.trackers_cod_remote);
-    w.u64(c.msg_data);
-    w.u64(c.msg_ctl);
+fn encode_calib(w: &mut Vec<u8>, c: &Calib) {
+    w.extend_from_slice(&c.core_ghz.to_le_bytes());
+    w.extend_from_slice(&c.avx_ghz.to_le_bytes());
+    w.extend_from_slice(&c.t_l1.to_le_bytes());
+    w.extend_from_slice(&c.t_l2.to_le_bytes());
+    w.extend_from_slice(&c.t_miss_path.to_le_bytes());
+    w.extend_from_slice(&c.t_fill.to_le_bytes());
+    w.extend_from_slice(&c.t_inject.to_le_bytes());
+    w.extend_from_slice(&c.t_hop.to_le_bytes());
+    w.extend_from_slice(&c.t_queue.to_le_bytes());
+    w.extend_from_slice(&c.t_qpi.to_le_bytes());
+    w.extend_from_slice(&c.t_l3_tag.to_le_bytes());
+    w.extend_from_slice(&c.t_l3_array.to_le_bytes());
+    w.extend_from_slice(&c.t_probe.to_le_bytes());
+    w.extend_from_slice(&c.t_probe_l2_fwd.to_le_bytes());
+    w.extend_from_slice(&c.t_probe_l1_fwd.to_le_bytes());
+    w.extend_from_slice(&c.t_ha.to_le_bytes());
+    w.extend_from_slice(&c.t_ca_fwd.to_le_bytes());
+    w.extend_from_slice(&c.t_home_snoop_issue.to_le_bytes());
+    w.extend_from_slice(&c.t_mem_ctl.to_le_bytes());
+    w.extend_from_slice(&c.t_hitme.to_le_bytes());
+    w.extend_from_slice(&c.lfb_per_core.to_le_bytes());
+    w.extend_from_slice(&c.streamer_depth.to_le_bytes());
+    w.extend_from_slice(&c.t_uncore_gap.to_le_bytes());
+    w.extend_from_slice(&c.t_fwd_occ_miss.to_le_bytes());
+    w.extend_from_slice(&c.t_fwd_occ_l2.to_le_bytes());
+    w.extend_from_slice(&c.t_fwd_occ_l1.to_le_bytes());
+    w.extend_from_slice(&c.qpi_gb_s.to_le_bytes());
+    w.extend_from_slice(&c.l3_port_gb_s.to_le_bytes());
+    w.extend_from_slice(&c.l2_port_avx_gb_s.to_le_bytes());
+    w.extend_from_slice(&c.l2_port_sse_gb_s.to_le_bytes());
+    w.extend_from_slice(&c.trackers_source_remote.to_le_bytes());
+    w.extend_from_slice(&c.trackers_other.to_le_bytes());
+    w.extend_from_slice(&c.trackers_cod_remote.to_le_bytes());
+    w.extend_from_slice(&c.msg_data.to_le_bytes());
+    w.extend_from_slice(&c.msg_ctl.to_le_bytes());
 }
 
-fn encode_config(w: &mut SnapWriter, cfg: &SystemConfig) {
-    w.u8(cfg.sockets);
-    w.u8(die_tag(cfg.die));
-    w.u8(mode_tag(cfg.mode));
+fn encode_config(w: &mut Vec<u8>, cfg: &SystemConfig) {
+    w.push(cfg.sockets);
+    w.push(die_tag(cfg.die));
+    w.push(mode_tag(cfg.mode));
     for g in [cfg.l1, cfg.l2, cfg.l3_slice] {
-        w.u64(g.size_bytes);
-        w.u32(g.ways);
+        w.extend_from_slice(&g.size_bytes.to_le_bytes());
+        w.extend_from_slice(&g.ways.to_le_bytes());
     }
     let d = &cfg.dram;
-    w.f64(d.t_cas);
-    w.f64(d.t_rcd);
-    w.f64(d.t_rp);
-    w.f64(d.t_burst);
-    w.f64(d.t_wr);
-    w.f64(d.t_refi);
-    w.f64(d.t_rfc);
-    w.u32(d.banks);
-    w.u64(d.row_bytes);
-    w.f64(d.bus_gb_s);
+    w.extend_from_slice(&d.t_cas.to_le_bytes());
+    w.extend_from_slice(&d.t_rcd.to_le_bytes());
+    w.extend_from_slice(&d.t_rp.to_le_bytes());
+    w.extend_from_slice(&d.t_burst.to_le_bytes());
+    w.extend_from_slice(&d.t_wr.to_le_bytes());
+    w.extend_from_slice(&d.t_refi.to_le_bytes());
+    w.extend_from_slice(&d.t_rfc.to_le_bytes());
+    w.extend_from_slice(&d.banks.to_le_bytes());
+    w.extend_from_slice(&d.row_bytes.to_le_bytes());
+    w.extend_from_slice(&d.bus_gb_s.to_le_bytes());
     encode_calib(w, &cfg.calib);
-    w.bool(cfg.prefetch);
-    w.bool(cfg.hitme_enabled);
-    w.u32(cfg.hitme_entries);
-    w.u8(repl_tag(cfg.l3_replacement));
+    w.push(cfg.prefetch as u8);
+    w.push(cfg.hitme_enabled as u8);
+    w.extend_from_slice(&cfg.hitme_entries.to_le_bytes());
+    w.push(repl_tag(cfg.l3_replacement));
 }
 
 #[cfg(test)]

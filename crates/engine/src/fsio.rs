@@ -10,7 +10,8 @@
 //! [`fnv1a64`] is the workspace's stable content digest (FNV-1a, 64-bit):
 //! deterministic across runs, platforms, and processes, unlike the seeded
 //! `FxHash` used for in-memory maps. Campaign journals store these digests
-//! to decide whether a completed job's outputs can be trusted on resume.
+//! to decide whether a completed job's outputs can be trusted on resume,
+//! and a mid-job checkpoint file ends in the digest of its cell lines.
 
 use std::io::{self, Write as _};
 use std::path::Path;
@@ -117,5 +118,36 @@ mod tests {
     #[test]
     fn atomic_write_rejects_bare_root() {
         assert!(atomic_write("/", b"x", false).is_err());
+    }
+
+    /// A reader racing `atomic_write`'s renames sees one whole file or
+    /// the other, never a torn or half-replaced one.
+    #[test]
+    fn reads_racing_atomic_writes_see_whole_files() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+
+        let dir = std::env::temp_dir().join(format!("hswx-fsio-race-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("file");
+        let files: Vec<Vec<u8>> =
+            (0..2u8).map(|k| (0..512usize << k).map(|i| i as u8 ^ k).collect()).collect();
+        let first_write_done = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            let writer = scope.spawn(|| {
+                for i in 0..50 {
+                    atomic_write(&path, &files[i % 2], false).expect("atomic write");
+                    first_write_done.store(true, Ordering::Release);
+                }
+            });
+            while !first_write_done.load(Ordering::Acquire) {
+                std::hint::spin_loop();
+            }
+            for _ in 0..25 {
+                let bytes = std::fs::read(&path).expect("the file exists after the first write");
+                assert!(files.contains(&bytes), "read {} bytes nobody wrote", bytes.len());
+            }
+            writer.join().expect("writer thread");
+        });
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -13,10 +13,8 @@
 //!   hot-path maps keyed by trusted simulation state.
 //! * [`fsio`] — crash-consistent `atomic_write` (tmp + `rename`, optional
 //!   fsync) and the stable [`fnv1a64`] content digest used by campaign
-//!   journals and golden-outcome checks.
-//! * [`snapshot`] — versioned, digest-framed binary frame codec
-//!   ([`SnapWriter`]/[`SnapReader`]) that mid-job checkpoint files and the
-//!   system config digest build on.
+//!   journals, mid-job checkpoints, the system config digest and
+//!   golden-outcome checks.
 //! * [`trace`] — structured span tracing: ring-buffered [`SpanRecorder`],
 //!   exact per-component latency attribution, Chrome trace-event export.
 //! * [`metrics`] — lock-free named counters with ambient per-thread
@@ -33,7 +31,6 @@ pub mod fxhash;
 pub mod metrics;
 pub mod resource;
 pub mod rng;
-pub mod snapshot;
 pub mod telemetry;
 pub mod time;
 pub mod trace;
@@ -43,7 +40,6 @@ pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use metrics::MetricsRegistry;
 pub use resource::{Booking, ThroughputResource, TimedPool};
 pub use rng::DetRng;
-pub use snapshot::{SnapReader, SnapWriter, SnapshotError};
 pub use telemetry::{TelemetryConfig, TelemetryHub, TelemetrySampler};
 pub use time::{SimDuration, SimTime, PS_PER_NS};
 pub use trace::{Span, SpanId, SpanRecorder, WalkRecord};
