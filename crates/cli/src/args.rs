@@ -10,11 +10,18 @@ pub struct Flags {
 }
 
 impl Flags {
-    /// Parse `argv` against the flags a command accepts: each `value`
-    /// flag takes the next argument, each `boolean` flag (`--write`) gets
-    /// the value `"true"`, and any other `--key` is an error, so a typo
-    /// fails loudly instead of running with defaults.
-    pub fn parse(argv: &[String], value: &[&str], boolean: &[&str]) -> Result<Flags, String> {
+    /// Parse `argv` against the flags and the number of positional
+    /// arguments a command accepts: each `value` flag takes the next
+    /// argument, each `boolean` flag (`--write`) gets the value `"true"`,
+    /// and any other `--key` or a positional argument past the first
+    /// `positionals` is an error, so a typo fails loudly instead of
+    /// running with defaults.
+    pub fn parse(
+        argv: &[String],
+        value: &[&str],
+        boolean: &[&str],
+        positionals: usize,
+    ) -> Result<Flags, String> {
         let mut map = HashMap::new();
         let mut positional = Vec::new();
         let mut i = 0;
@@ -32,8 +39,10 @@ impl Flags {
                 } else {
                     return Err(format!("unknown flag --{key}"));
                 }
-            } else {
+            } else if positional.len() < positionals {
                 positional.push(a.clone());
+            } else {
+                return Err(format!("unexpected argument {a}"));
             }
             i += 1;
         }
@@ -74,7 +83,7 @@ mod tests {
 
     #[test]
     fn parses_flags_and_positionals() {
-        let f = Flags::parse(&argv("file.txt --mode cod --window 8"), &["mode", "window"], &[])
+        let f = Flags::parse(&argv("file.txt --mode cod --window 8"), &["mode", "window"], &[], 1)
             .unwrap();
         assert_eq!(f.positional, vec!["file.txt"]);
         assert_eq!(f.get("mode", "source"), "cod");
@@ -84,19 +93,19 @@ mod tests {
 
     #[test]
     fn boolean_flags_take_no_value() {
-        let f = Flags::parse(&argv("--write --level mem"), &["level"], &["write"]).unwrap();
+        let f = Flags::parse(&argv("--write --level mem"), &["level"], &["write"], 0).unwrap();
         assert!(f.has("write"));
         assert_eq!(f.get("level", "l3"), "mem");
     }
 
     #[test]
     fn missing_value_is_an_error() {
-        assert!(Flags::parse(&argv("--mode"), &["mode"], &[]).is_err());
+        assert!(Flags::parse(&argv("--mode"), &["mode"], &[], 0).is_err());
     }
 
     #[test]
     fn bad_parse_reports_flag_name() {
-        let f = Flags::parse(&argv("--window nope"), &["window"], &[]).unwrap();
+        let f = Flags::parse(&argv("--window nope"), &["window"], &[], 0).unwrap();
         let e = f.get_parse("window", 1u32).unwrap_err();
         assert!(e.contains("--window"));
     }
@@ -106,7 +115,7 @@ mod tests {
         for (line, key) in
             [("--threads 2", "--threads"), ("--mode cod --quick", "--quick"), ("--mdoe cod", "--mdoe")]
         {
-            let e = Flags::parse(&argv(line), &["mode"], &[]).err().expect(line);
+            let e = Flags::parse(&argv(line), &["mode"], &[], 0).err().expect(line);
             assert_eq!(e, format!("unknown flag {key}"));
         }
     }

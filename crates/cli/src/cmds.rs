@@ -23,10 +23,10 @@ USAGE:
                  [--placer CORE[,CORE..]] [--measurer CORE] [--home NODE] [--size BYTES]
   hswx bandwidth [latency flags] [--width avx|sse] [--write | --write-nt]
   hswx explain   [latency flags but --size]   (prints the protocol steps of one access)
-  hswx faultcheck [--plan FILE] [--seed N] [--trials N] [--classes a,b,..] [--quick]
-                 [--json FILE]
+  hswx faultcheck [--seed N] [--trials N] [--json FILE]
                  (fault-injection campaign: asserts the invariant monitor
-                  detects every injected corruption in all three modes;
+                  detects every injected corruption in all three modes,
+                  in --trials trials per class and mode, 4 by default;
                   --json additionally writes the matrix as JSON)
   hswx campaign  [--out DIR] [--journal FILE] [--resume] [--fsync]
                  [--jobs a,b,..] [--metrics-json FILE] [--telemetry BASE]
@@ -57,7 +57,7 @@ EXAMPLES:
   hswx bandwidth --level mem --size 67108864 --width avx
   hswx trace --mode cod --state S --level l3 --home 1 --out trace.json
   hswx explain fig7 128
-  hswx faultcheck --quick
+  hswx faultcheck --trials 1
   hswx campaign --out results --resume --metrics-json results/metrics.json
   hswx campaign --out results --telemetry results/telemetry
   hswx explain diff runA/metrics.json runB/metrics.json";
@@ -146,7 +146,7 @@ fn scenario_of(flags: &Flags) -> Result<LatencyScenario, String> {
 
 /// `hswx info` — describe the simulated machine.
 pub fn info(argv: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(argv, &["mode"], &[])?;
+    let flags = Flags::parse(argv, &["mode"], &[], 0)?;
     let mode = mode_of(&flags)?;
     let sys = System::new(SystemConfig::e5_2680_v3(mode));
     println!("mode:   {}", sys.cfg.mode.label());
@@ -174,7 +174,7 @@ pub fn info(argv: &[String]) -> Result<(), String> {
 
 /// `hswx latency` — one placed-state pointer-chase measurement.
 pub fn latency(argv: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(argv, &[SCENARIO_FLAGS, &["size"]].concat(), &[])?;
+    let flags = Flags::parse(argv, &[SCENARIO_FLAGS, &["size"]].concat(), &[], 0)?;
     let mut p = scenario_of(&flags)?.prepare();
     let m = pointer_chase(&mut p.sys, p.measurer, &p.lines, p.t, 0xCAFE);
     println!("{:.1} ns per load ({} samples)", m.ns_per_access, m.samples);
@@ -188,8 +188,12 @@ pub fn latency(argv: &[String]) -> Result<(), String> {
 
 /// `hswx bandwidth` — one placed-state streaming measurement.
 pub fn bandwidth(argv: &[String]) -> Result<(), String> {
-    let flags =
-        Flags::parse(argv, &[SCENARIO_FLAGS, &["size", "width"]].concat(), &["write", "write-nt"])?;
+    let flags = Flags::parse(
+        argv,
+        &[SCENARIO_FLAGS, &["size", "width"]].concat(),
+        &["write", "write-nt"],
+        0,
+    )?;
     if flags.has("write") && flags.has("write-nt") {
         return Err("--write and --write-nt are exclusive: pick one store kind".into());
     }
@@ -218,7 +222,8 @@ pub fn bandwidth(argv: &[String]) -> Result<(), String> {
 /// trace-event JSON to `--out` and prints a terminal waterfall plus the
 /// exact per-component latency attribution of the final access.
 pub fn trace(argv: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(argv, &[SCENARIO_FLAGS, &["size", "accesses", "out"]].concat(), &[])?;
+    let flags =
+        Flags::parse(argv, &[SCENARIO_FLAGS, &["size", "accesses", "out"]].concat(), &[], 0)?;
     let scenario = scenario_of(&flags)?;
     let accesses = flags.get_parse("accesses", 4usize)?.max(1);
     let out_path = flags.get("out", "trace.json").to_string();
@@ -297,7 +302,7 @@ fn print_attribution(rec: &SpanRecorder, walk: &hswx_engine::WalkRecord) {
 /// nanosecond went, naming the HitME/AllocateShared hop behind the
 /// anomaly. `--out` also writes the read's trace-event JSON.
 fn explain_fig7(argv: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(argv, &["fwd", "home", "out"], &[])?;
+    let flags = Flags::parse(argv, &["fwd", "home", "out"], &[], 1)?;
     let size_kib: u64 = match flags.positional.first() {
         Some(s) => s.parse().map_err(|_| format!("bad size (KiB): {s}"))?,
         None => 128,
@@ -358,7 +363,7 @@ fn explain_fig7(argv: &[String]) -> Result<(), String> {
 /// too); `--telemetry-a/-b` point at explicit telemetry CSVs.
 fn explain_diff(argv: &[String]) -> Result<(), String> {
     use hswx_bench::diffcmp;
-    let flags = Flags::parse(argv, &["telemetry-a", "telemetry-b"], &[])?;
+    let flags = Flags::parse(argv, &["telemetry-a", "telemetry-b"], &[], 2)?;
     let [a, b] = flags.positional.as_slice() else {
         return Err("explain diff needs exactly two run paths (files or directories)".into());
     };
@@ -407,16 +412,15 @@ fn explain_diff(argv: &[String]) -> Result<(), String> {
 /// instead traces the Figure 7 anomaly point (see [`explain_fig7`]); the
 /// `diff` form compares two runs' exports (see [`explain_diff`]).
 pub fn explain(argv: &[String]) -> Result<(), String> {
-    if argv.first().map(String::as_str) == Some("fig7") {
-        return explain_fig7(&argv[1..]);
+    match argv.first().map(String::as_str) {
+        Some("fig7") => return explain_fig7(&argv[1..]),
+        Some("diff") => return explain_diff(&argv[1..]),
+        Some(form) if !form.starts_with("--") => {
+            return Err(format!("unknown explain form {form} (fig7|diff, or latency flags)"));
+        }
+        _ => {}
     }
-    if argv.first().map(String::as_str) == Some("diff") {
-        return explain_diff(&argv[1..]);
-    }
-    let flags = Flags::parse(argv, SCENARIO_FLAGS, &[])?;
-    if let Some(form) = flags.positional.first() {
-        return Err(format!("unknown explain form {form} (fig7|diff, or latency flags)"));
-    }
+    let flags = Flags::parse(argv, SCENARIO_FLAGS, &[], 0)?;
     let scenario = LatencyScenario { size: Some(4096), ..scenario_of(&flags)? };
     let PreparedScenario { mut sys, lines, t, measurer } = scenario.prepare();
     sys.trace_next();
@@ -479,25 +483,13 @@ fn describe(step: &hswx_haswell::ProtoStep) -> String {
 /// `hswx faultcheck` — run the seeded fault-injection campaign and print
 /// the detection-coverage matrix. Exits nonzero on any detection gap.
 pub fn faultcheck(argv: &[String]) -> Result<(), String> {
-    let flags =
-        Flags::parse(argv, &["plan", "seed", "trials", "classes", "json"], &["quick"])?;
-    let mut plan = if let Some(path) = flags.map_get("plan") {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        FaultPlan::from_text(&text).map_err(|e| format!("{path}: {e}"))?
-    } else if flags.has("quick") {
-        FaultPlan::quick()
-    } else {
-        FaultPlan::default()
+    let flags = Flags::parse(argv, &["seed", "trials", "json"], &[], 0)?;
+    let default = FaultPlan::default();
+    let plan = FaultPlan {
+        seed: flags.get_parse("seed", default.seed)?,
+        trials: flags.get_parse("trials", default.trials)?,
+        ..default
     };
-    if flags.has("quick") {
-        plan.trials = plan.trials.min(1);
-    }
-    plan.seed = flags.get_parse("seed", plan.seed)?;
-    plan.trials = flags.get_parse("trials", plan.trials)?;
-    if let Some(list) = flags.map_get("classes") {
-        let parsed = FaultPlan::from_text(&format!("classes = {list}\n"))?;
-        plan.classes = parsed.classes;
-    }
     if plan.trials == 0 {
         return Err("--trials must be at least 1".into());
     }
@@ -522,6 +514,7 @@ pub fn campaign(argv: &[String]) -> Result<(), String> {
         argv,
         &["out", "journal", "telemetry", "jobs", "metrics-json"],
         &["resume", "fsync"],
+        0,
     )?;
     if flags.has("resume") && flags.map_get("telemetry").is_some() {
         return Err("--resume cannot be combined with --telemetry: the journal keeps \

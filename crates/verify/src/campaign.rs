@@ -9,7 +9,7 @@
 //! corruption into a typed [`hswx_haswell::SimError`].
 //!
 //! Every choice derives from the plan seed, so a failing cell reproduces
-//! with the same plan text.
+//! with the same seed and trial count.
 
 use crate::plan::{FaultClass, FaultPlan};
 use hswx_coherence::{DirState, MesifState, NodeSet};
@@ -341,7 +341,7 @@ mod tests {
 
     #[test]
     fn quick_campaign_detects_everything() {
-        let report = run_campaign(&FaultPlan::quick());
+        let report = run_campaign(&FaultPlan { trials: 1, ..FaultPlan::default() });
         assert!(report.all_detected(), "{report}");
     }
 

@@ -4,7 +4,7 @@
 //! modes under the strict runtime invariant monitor and reports a
 //! detection-coverage matrix (fault class × mode → detected/missed). See
 //! `hswx faultcheck` for the CLI entry point and [`plan::FaultPlan`] for
-//! the reproducible campaign format.
+//! what pins a campaign (seed, trials per cell, fault classes).
 
 pub mod campaign;
 pub mod plan;
