@@ -61,11 +61,6 @@ impl InMemoryDirectory {
         changed
     }
 
-    /// Number of lines in a non-default state.
-    pub fn tracked_lines(&self) -> usize {
-        self.entries.len()
-    }
-
     /// Every line in a non-default state (unordered — callers that need
     /// a stable order, e.g. for digests, must sort).
     pub fn iter(&self) -> impl Iterator<Item = (LineAddr, DirState)> + '_ {
@@ -108,9 +103,9 @@ mod tests {
         let mut d = InMemoryDirectory::new();
         d.set(LineAddr(1), DirState::SnoopAll);
         d.set(LineAddr(2), DirState::Shared);
-        assert_eq!(d.tracked_lines(), 2);
+        assert_eq!(d.entries.len(), 2);
         d.set(LineAddr(1), DirState::RemoteInvalid);
-        assert_eq!(d.tracked_lines(), 1);
+        assert_eq!(d.entries.len(), 1);
     }
 
     #[test]

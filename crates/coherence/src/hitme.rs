@@ -58,21 +58,6 @@ impl HitMeCache {
         }
     }
 
-    /// Entry capacity.
-    pub fn capacity(&self) -> usize {
-        self.cache.capacity()
-    }
-
-    /// Resident entries.
-    pub fn len(&self) -> usize {
-        self.cache.len()
-    }
-
-    /// Whether no entries are resident.
-    pub fn is_empty(&self) -> bool {
-        self.cache.is_empty()
-    }
-
     /// Look up `line`, promoting it on hit.
     pub fn lookup(&mut self, line: LineAddr) -> Option<HitMeEntry> {
         match self.cache.access(line) {
@@ -146,16 +131,6 @@ impl HitMeCache {
         self.cache.iter()
     }
 
-    /// Hit rate so far.
-    pub fn hit_rate(&self) -> f64 {
-        let t = self.hits + self.misses;
-        if t == 0 {
-            0.0
-        } else {
-            self.hits as f64 / t as f64
-        }
-    }
-
     /// Counter totals in one stable shape for metrics aggregation:
     /// `[hits, misses, allocs, evictions]`.
     pub fn counters(&self) -> [u64; 4] {
@@ -189,7 +164,7 @@ mod tests {
     #[test]
     fn capacity_matches_14_kib_model() {
         let h = HitMeCache::haswell();
-        assert_eq!(h.capacity(), 1792);
+        assert_eq!(h.cache.capacity(), 1792);
     }
 
     #[test]
@@ -253,7 +228,7 @@ mod tests {
         // The Figure 7 mechanism in miniature: footprints larger than the
         // entry count evict continuously, so steady-state hit rate falls.
         let mut h = HitMeCache::haswell();
-        let lines = h.capacity() as u64 * 4;
+        let lines = h.cache.capacity() as u64 * 4;
         for pass in 0..3 {
             for l in 0..lines {
                 if h.lookup(LineAddr(l)).is_none() {
@@ -263,7 +238,7 @@ mod tests {
             if pass == 0 {
                 continue;
             }
-            assert!(h.hit_rate() < 0.5, "rate {}", h.hit_rate());
+            assert!(h.hits < h.misses, "{} hits, {} misses", h.hits, h.misses);
         }
     }
 }

@@ -91,11 +91,6 @@ impl L3Meta {
     pub fn other_sharers(&self, requester: u8) -> u32 {
         self.cv & !(1u32 << requester)
     }
-
-    /// Whether any local core may hold a copy.
-    pub fn any_core_valid(&self) -> bool {
-        self.cv != 0
-    }
 }
 
 #[cfg(test)]
@@ -174,7 +169,7 @@ mod tests {
         let mut m = L3Meta::filled_by(Exclusive, 5);
         m.on_dirty_writeback(5);
         assert_eq!(m.state, Modified);
-        assert!(!m.any_core_valid());
+        assert_eq!(m.cv, 0);
         // The paper: after the writeback the L3 services requests without
         // delay (21.2 ns), because the CV bit was cleared.
         assert_eq!(m.local_snoop_target(0), None);

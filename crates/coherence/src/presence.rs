@@ -36,24 +36,9 @@ impl NodeSet {
         self.0 |= 1 << node.0;
     }
 
-    /// Remove a node.
-    pub fn remove(&mut self, node: NodeId) {
-        self.0 &= !(1 << node.0);
-    }
-
     /// Membership test.
     pub fn contains(self, node: NodeId) -> bool {
         self.0 & (1 << node.0) != 0
-    }
-
-    /// Set union.
-    pub fn union(self, other: NodeSet) -> NodeSet {
-        NodeSet(self.0 | other.0)
-    }
-
-    /// This set minus `other`.
-    pub fn minus(self, other: NodeSet) -> NodeSet {
-        NodeSet(self.0 & !other.0)
     }
 
     /// Without one node (non-mutating).
@@ -74,15 +59,6 @@ impl NodeSet {
     /// Iterate members in ascending node order.
     pub fn iter(self) -> impl Iterator<Item = NodeId> {
         (0u8..8).filter(move |i| self.0 & (1 << i) != 0).map(NodeId)
-    }
-
-    /// The sole member, if exactly one.
-    pub fn single(self) -> Option<NodeId> {
-        if self.len() == 1 {
-            Some(NodeId(self.0.trailing_zeros() as u8))
-        } else {
-            None
-        }
     }
 }
 
@@ -123,7 +99,7 @@ mod tests {
         assert!(s.contains(NodeId(3)));
         assert!(s.contains(NodeId(0)));
         assert!(!s.contains(NodeId(1)));
-        s.remove(NodeId(3));
+        s = s.without(NodeId(3));
         assert!(!s.contains(NodeId(3)));
         assert_eq!(s.len(), 1);
     }
@@ -131,9 +107,6 @@ mod tests {
     #[test]
     fn set_algebra() {
         let a: NodeSet = [NodeId(0), NodeId(1), NodeId(2)].into_iter().collect();
-        let b = NodeSet::only(NodeId(1));
-        assert_eq!(a.minus(b).len(), 2);
-        assert_eq!(a.union(b), a);
         assert_eq!(a.without(NodeId(0)).len(), 2);
     }
 
@@ -144,13 +117,6 @@ mod tests {
         assert_eq!(v, vec![0, 1, 2, 3]);
         assert_eq!(NodeSet::first_n(8), NodeSet(0xFF));
         assert_eq!(NodeSet::first_n(0), NodeSet::EMPTY);
-    }
-
-    #[test]
-    fn single_detects_singletons() {
-        assert_eq!(NodeSet::only(NodeId(5)).single(), Some(NodeId(5)));
-        assert_eq!(NodeSet::first_n(2).single(), None);
-        assert_eq!(NodeSet::EMPTY.single(), None);
     }
 
     #[test]

@@ -32,18 +32,6 @@ impl CoreState {
         self != CoreState::Invalid
     }
 
-    /// Whether eviction requires a writeback.
-    pub fn is_dirty(self) -> bool {
-        self == CoreState::Modified
-    }
-
-    /// Whether this copy can leave the cache without notifying the L3
-    /// (clean states evict silently on Haswell — the root cause of stale
-    /// core-valid bits and the paper's 44.4 ns snoop-on-exclusive penalty).
-    pub fn evicts_silently(self) -> bool {
-        matches!(self, CoreState::Exclusive | CoreState::Shared)
-    }
-
     /// Whether a local write hits without an ownership request.
     pub fn can_write(self) -> bool {
         matches!(self, CoreState::Modified | CoreState::Exclusive)
@@ -88,11 +76,6 @@ impl MesifState {
         self == MesifState::Modified
     }
 
-    /// Whether the memory copy is stale while this state exists anywhere.
-    pub fn memory_is_stale(self) -> bool {
-        self == MesifState::Modified
-    }
-
     /// State of the *previous* holder after it forwards data for a read.
     ///
     /// MESIF: the most recent requester becomes the forwarder, the old
@@ -120,29 +103,12 @@ pub enum DirState {
     Shared,
 }
 
-impl DirState {
-    /// Whether a *read* arriving at the home agent can be answered straight
-    /// from memory without snooping any remote node.
-    pub fn read_needs_no_snoop(self) -> bool {
-        matches!(self, DirState::RemoteInvalid | DirState::Shared)
-    }
-
-    /// Whether the memory copy is guaranteed valid.
-    pub fn memory_valid(self) -> bool {
-        matches!(self, DirState::RemoteInvalid | DirState::Shared)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn core_state_properties() {
-        assert!(CoreState::Modified.is_dirty());
-        assert!(!CoreState::Modified.evicts_silently());
-        assert!(CoreState::Exclusive.evicts_silently());
-        assert!(CoreState::Shared.evicts_silently());
         assert!(CoreState::Modified.can_write());
         assert!(CoreState::Exclusive.can_write());
         assert!(!CoreState::Shared.can_write());
@@ -181,22 +147,6 @@ mod tests {
             MesifState::Invalid.after_forwarding_read(),
             MesifState::Invalid
         );
-    }
-
-    #[test]
-    fn only_modified_has_stale_memory() {
-        assert!(MesifState::Modified.memory_is_stale());
-        for s in [MesifState::Exclusive, MesifState::Shared, MesifState::Forward] {
-            assert!(!s.memory_is_stale());
-        }
-    }
-
-    #[test]
-    fn directory_read_rules() {
-        assert!(DirState::RemoteInvalid.read_needs_no_snoop());
-        assert!(DirState::Shared.read_needs_no_snoop());
-        assert!(!DirState::SnoopAll.read_needs_no_snoop());
-        assert!(!DirState::SnoopAll.memory_valid());
     }
 
     #[test]

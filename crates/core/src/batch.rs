@@ -140,17 +140,6 @@ pub struct BatchOutcome {
     pub done: SimTime,
 }
 
-impl BatchOutcome {
-    /// The replies as plain outcomes, for batches known to be fault-free
-    /// reads/writes. Panics on an error or flush reply.
-    pub fn outcomes(&self) -> Vec<AccessOutcome> {
-        self.replies
-            .iter()
-            .map(|r| r.as_ref().expect("batch access failed").outcome().expect("flush in batch"))
-            .collect()
-    }
-}
-
 /// SoA staging scratch reused across [`System::run_batch`] calls.
 ///
 /// Parallel flat arrays, one entry per staged access (`slices` holds

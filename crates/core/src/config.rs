@@ -290,8 +290,6 @@ impl SystemConfig {
             ("t_rp", d.t_rp),
             ("t_burst", d.t_burst),
             ("t_wr", d.t_wr),
-            ("t_refi", d.t_refi),
-            ("t_rfc", d.t_rfc),
         ] {
             if !value.is_finite() || value < 0.0 {
                 return Err(ConfigError::Dram {
@@ -444,8 +442,11 @@ fn encode_config(w: &mut Vec<u8>, cfg: &SystemConfig) {
     w.extend_from_slice(&d.t_rp.to_le_bytes());
     w.extend_from_slice(&d.t_burst.to_le_bytes());
     w.extend_from_slice(&d.t_wr.to_le_bytes());
-    w.extend_from_slice(&d.t_refi.to_le_bytes());
-    w.extend_from_slice(&d.t_rfc.to_le_bytes());
+    // DRAM refresh is not modelled. The two words its timings held (tREFI
+    // 0 ns, i.e. off, and tRFC 350 ns) stay in the frame, so every config
+    // digest and checkpoint key keeps its value.
+    w.extend_from_slice(&0.0f64.to_le_bytes());
+    w.extend_from_slice(&350.0f64.to_le_bytes());
     w.extend_from_slice(&d.banks.to_le_bytes());
     w.extend_from_slice(&d.row_bytes.to_le_bytes());
     w.extend_from_slice(&d.bus_gb_s.to_le_bytes());

@@ -9,7 +9,6 @@
 //! the *nominal* size even when only a subset of lines is simulated).
 
 use crate::system::System;
-use hswx_engine::DetRng;
 use hswx_mem::{LineAddr, NodeId, CACHE_LINE_BYTES};
 
 /// A simulated NUMA-affine allocation.
@@ -65,28 +64,6 @@ impl Buffer {
             lines: (0..total).map(|i| LineAddr(base + i)).collect(),
         }
     }
-
-    /// Number of simulated lines.
-    pub fn len(&self) -> usize {
-        self.lines.len()
-    }
-
-    /// Whether the buffer is empty (never true for valid construction).
-    pub fn is_empty(&self) -> bool {
-        self.lines.is_empty()
-    }
-
-    /// The lines in a randomized single-cycle chase order.
-    pub fn chase_order(&self, rng: &mut DetRng) -> Vec<LineAddr> {
-        let next = rng.chase_cycle(self.lines.len());
-        let mut order = Vec::with_capacity(self.lines.len());
-        let mut at = 0usize;
-        for _ in 0..self.lines.len() {
-            order.push(self.lines[at]);
-            at = next[at];
-        }
-        order
-    }
 }
 
 #[cfg(test)]
@@ -102,7 +79,7 @@ mod tests {
     fn dense_small_buffer() {
         let s = sys();
         let b = Buffer::on_node(&s, NodeId(0), 32 * 1024, 0);
-        assert_eq!(b.len(), 512);
+        assert_eq!(b.lines.len(), 512);
         assert_eq!(s.topo.home_node_of_line(b.lines[0]), NodeId(0));
         assert_eq!(b.lines[1].0, b.lines[0].0 + 1);
     }
@@ -111,7 +88,7 @@ mod tests {
     fn large_buffer_is_sampled_and_strided() {
         let s = sys();
         let b = Buffer::on_node(&s, NodeId(1), 256 * 1024 * 1024, 0);
-        assert_eq!(b.len() as u64, Buffer::MAX_SIM_LINES);
+        assert_eq!(b.lines.len() as u64, Buffer::MAX_SIM_LINES);
         let stride = b.lines[1].0 - b.lines[0].0;
         assert!(stride > 1);
         for l in &b.lines {
@@ -125,18 +102,5 @@ mod tests {
         let a = Buffer::on_node(&s, NodeId(0), 1 << 20, 0);
         let b = Buffer::on_node(&s, NodeId(0), 1 << 20, 1);
         assert!(a.lines.last().unwrap().0 < b.lines[0].0);
-    }
-
-    #[test]
-    fn chase_order_visits_each_line_once() {
-        let s = sys();
-        let b = Buffer::on_node(&s, NodeId(0), 4096, 0);
-        let mut rng = DetRng::new(7);
-        let order = b.chase_order(&mut rng);
-        let mut sorted: Vec<_> = order.iter().map(|l| l.0).collect();
-        sorted.sort_unstable();
-        let mut want: Vec<_> = b.lines.iter().map(|l| l.0).collect();
-        want.sort_unstable();
-        assert_eq!(sorted, want);
     }
 }

@@ -469,12 +469,8 @@ impl System {
             mem: (0..n_has)
                 .map(|_| MemoryController::new(cfg.channels_per_ha(), cfg.dram))
                 .collect(),
-            qpi: (0..cfg.sockets as usize * cfg.sockets as usize)
-                .map(|_| ThroughputResource::new(cal.qpi_gb_s))
-                .collect(),
-            l3_port: (0..n_cores)
-                .map(|_| ThroughputResource::new(cal.l3_port_gb_s))
-                .collect(),
+            qpi: vec![ThroughputResource::default(); cfg.sockets as usize * cfg.sockets as usize],
+            l3_port: vec![ThroughputResource::default(); n_cores],
             trackers: (0..n_has)
                 .map(|_| {
                     [

@@ -29,7 +29,7 @@ fn mutate(cfg: &mut SystemConfig, field: u8, bits: u64) {
         6 => cfg.l3_slice.size_bytes = bits,
         7 => cfg.dram.t_cas = f,
         8 => cfg.dram.t_rcd = f,
-        9 => cfg.dram.t_rfc = f,
+        9 => cfg.dram.t_wr = f,
         10 => cfg.dram.banks = bits as u32,
         11 => cfg.dram.row_bytes = bits,
         12 => cfg.dram.bus_gb_s = f,

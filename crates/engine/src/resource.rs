@@ -38,7 +38,8 @@ impl Booking {
     }
 }
 
-/// A serializing resource that moves bytes at a fixed rate.
+/// A serializing resource that moves bytes at a fixed rate: the rate its
+/// [`Booking`]s were converted at.
 ///
 /// Reservations are **gap-fitting**: a transfer occupies the earliest free
 /// interval at or after its request time. With monotonically increasing
@@ -47,10 +48,8 @@ impl Booking {
 /// time while later-issued demand reads target earlier times) it behaves
 /// like a scheduling memory/link controller: earlier work slips into the
 /// gaps instead of queueing behind future reservations.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ThroughputResource {
-    /// Rate in GB/s (SI).
-    rate_gb_s: f64,
     /// Sorted, disjoint busy intervals `(start_ps, end_ps)`. Adjacent and
     /// overlapping intervals are merged, so under saturation the list stays
     /// tiny (everything coalesces into one blob). Latency-bound callers
@@ -59,8 +58,6 @@ pub struct ThroughputResource {
     /// O(1), and reservations locate their gap by binary search rather
     /// than a front-to-back scan.
     intervals: VecDeque<(u64, u64)>,
-    /// Accumulated busy time, for utilization reporting.
-    busy: SimDuration,
     /// Total bytes moved.
     bytes: u64,
 }
@@ -70,24 +67,11 @@ impl ThroughputResource {
     /// dropped (callers never ask about the distant past).
     const MAX_INTERVALS: usize = 1024;
 
-    /// A resource moving data at `rate_gb_s` gigabytes per second.
-    ///
-    /// Panics if the rate is not strictly positive.
-    pub fn new(rate_gb_s: f64) -> Self {
-        assert!(rate_gb_s > 0.0, "throughput rate must be positive");
-        ThroughputResource {
-            rate_gb_s,
-            intervals: VecDeque::new(),
-            busy: SimDuration::ZERO,
-            bytes: 0,
-        }
-    }
-
     /// Reserve the pipe for `b` starting no earlier than `now`.
     ///
     /// Returns the completion time; the transfer occupies the earliest
-    /// gap of sufficient length starting at or after `now`. `b` must have
-    /// been made at this resource's rate.
+    /// gap of sufficient length starting at or after `now`. `b` carries
+    /// its duration at the rate of the pipe it is booked on.
     pub fn transfer(&mut self, now: SimTime, b: Booking) -> SimTime {
         self.transfer_with_wait(now, b).0
     }
@@ -113,14 +97,12 @@ impl ThroughputResource {
                         self.intervals.pop_front();
                     }
                 }
-                self.busy += dur;
                 self.bytes += bytes;
                 return (SimTime(end), SimDuration::ZERO);
             }
             None => {
                 let end = now.0 + dur.0;
                 self.intervals.push_back((now.0, end));
-                self.busy += dur;
                 self.bytes += bytes;
                 return (SimTime(end), SimDuration::ZERO);
             }
@@ -163,7 +145,6 @@ impl ThroughputResource {
         while self.intervals.len() > Self::MAX_INTERVALS {
             self.intervals.pop_front();
         }
-        self.busy += dur;
         self.bytes += bytes;
         (SimTime(end), SimTime(start).since(now))
     }
@@ -184,35 +165,9 @@ impl ThroughputResource {
         }
     }
 
-    /// End of the last reservation (the pipe is idle after this).
-    pub fn next_free(&self) -> SimTime {
-        SimTime(self.intervals.back().map(|&(_, e)| e).unwrap_or(0))
-    }
-
     /// Total bytes moved through this resource.
     pub fn total_bytes(&self) -> u64 {
         self.bytes
-    }
-
-    /// Busy fraction over `[SimTime::ZERO, now]`.
-    pub fn utilization(&self, now: SimTime) -> f64 {
-        if now.0 == 0 {
-            0.0
-        } else {
-            (self.busy.0 as f64 / now.0 as f64).min(1.0)
-        }
-    }
-
-    /// Configured rate in GB/s.
-    pub fn rate_gb_s(&self) -> f64 {
-        self.rate_gb_s
-    }
-
-    /// Reset occupancy/accounting (used between measurement phases).
-    pub fn reset(&mut self) {
-        self.intervals.clear();
-        self.busy = SimDuration::ZERO;
-        self.bytes = 0;
     }
 }
 
@@ -223,29 +178,20 @@ impl ThroughputResource {
 /// (`occupy_until`). This models FIFO admission to tracker/buffer pools in
 /// a transaction-walk simulation without explicit release events: home
 /// agent trackers, line-fill-buffer windows, superqueue entries.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TimedPool {
     capacity: usize,
     /// Completion times of in-flight occupants (min-heap via sorted Vec
     /// would be O(n); use BinaryHeap of Reverse).
     #[serde(skip)]
     busy: std::collections::BinaryHeap<std::cmp::Reverse<u64>>,
-    /// Total admissions.
-    pub admissions: u64,
-    /// Admissions that had to wait.
-    pub waited: u64,
 }
 
 impl TimedPool {
     /// A pool of `capacity` slots. Panics if zero.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "timed pool must have capacity");
-        TimedPool {
-            capacity,
-            busy: std::collections::BinaryHeap::new(),
-            admissions: 0,
-            waited: 0,
-        }
+        TimedPool { capacity, busy: std::collections::BinaryHeap::new() }
     }
 
     /// Earliest time at or after `now` when a slot is free. Slots whose
@@ -258,11 +204,9 @@ impl TimedPool {
                 break;
             }
         }
-        self.admissions += 1;
         if self.busy.len() < self.capacity {
             now
         } else {
-            self.waited += 1;
             let std::cmp::Reverse(t) = self.busy.pop().expect("pool non-empty");
             SimTime(t.max(now.0))
         }
@@ -272,19 +216,14 @@ impl TimedPool {
     pub fn occupy_until(&mut self, t: SimTime) {
         self.busy.push(std::cmp::Reverse(t.0));
     }
-
-    /// Configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
 }
 
 #[cfg(test)]
 impl ThroughputResource {
     /// The original always-searching booking path, kept verbatim as the
     /// differential reference for the monotone append fast path.
-    fn transfer_reference(&mut self, now: SimTime, bytes: u64) -> SimTime {
-        let dur = SimDuration::for_bytes(bytes, self.rate_gb_s);
+    fn transfer_reference(&mut self, now: SimTime, b: Booking) -> SimTime {
+        let Booking { bytes, dur } = b;
         let mut start = now.0;
         let mut i = {
             let (mut lo, mut hi) = (0, self.intervals.len());
@@ -315,17 +254,12 @@ impl ThroughputResource {
         while self.intervals.len() > Self::MAX_INTERVALS {
             self.intervals.pop_front();
         }
-        self.busy += dur;
         self.bytes += bytes;
         SimTime(end)
     }
 
-    fn state_tuple(&self) -> (Vec<(u64, u64)>, u64, u64) {
-        (
-            self.intervals.iter().copied().collect(),
-            self.busy.0,
-            self.bytes,
-        )
+    fn state_tuple(&self) -> (Vec<(u64, u64)>, u64) {
+        (self.intervals.iter().copied().collect(), self.bytes)
     }
 }
 
@@ -340,7 +274,7 @@ mod tests {
 
     #[test]
     fn transfers_serialize() {
-        let mut r = ThroughputResource::new(10.0); // 10 GB/s: 64 B = 6.4 ns
+        let mut r = ThroughputResource::default();
         let t0 = SimTime::ZERO;
         let f1 = r.transfer(t0, line());
         let f2 = r.transfer(t0, line());
@@ -349,18 +283,8 @@ mod tests {
     }
 
     #[test]
-    fn idle_gap_is_not_busy() {
-        let mut r = ThroughputResource::new(10.0);
-        r.transfer(SimTime(0), line());
-        r.transfer(SimTime(100_000), line());
-        // 12.8 ns busy over 106.4 ns
-        let u = r.utilization(SimTime(106_400));
-        assert!((u - 12_800.0 / 106_400.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn transfer_with_wait_reports_queueing() {
-        let mut r = ThroughputResource::new(10.0);
+        let mut r = ThroughputResource::default();
         r.transfer(SimTime::ZERO, line());
         let (_, wait) = r.transfer_with_wait(SimTime(1_000), line());
         assert_eq!(wait, SimDuration(5_400));
@@ -369,7 +293,7 @@ mod tests {
     #[test]
     fn rate_sets_effective_bandwidth() {
         // Saturate for ~1 us and check achieved bytes/sec equals the rate.
-        let mut r = ThroughputResource::new(38.4);
+        let mut r = ThroughputResource::default();
         let mut now = SimTime::ZERO;
         while now.0 < 1_000_000 {
             now = r.transfer(now, Booking::at_rate(64, 38.4));
@@ -380,7 +304,7 @@ mod tests {
 
     #[test]
     fn gap_fit_lets_earlier_work_slip_in() {
-        let mut r = ThroughputResource::new(10.0); // 64 B = 6.4 ns
+        let mut r = ThroughputResource::default();
         // A writeback reserved far in the future...
         let f1 = r.transfer(SimTime(100_000), line());
         assert_eq!(f1, SimTime(106_400));
@@ -397,12 +321,12 @@ mod tests {
 
     #[test]
     fn gap_fit_coalesces_intervals() {
-        let mut r = ThroughputResource::new(10.0);
+        let mut r = ThroughputResource::default();
         for _ in 0..100 {
             r.transfer(SimTime::ZERO, line());
         }
         // Back-to-back reservations merge into one busy blob.
-        assert_eq!(r.next_free(), SimTime(640_000));
+        assert_eq!(r.intervals, [(0, 640_000)]);
     }
 
     #[test]
@@ -415,7 +339,6 @@ mod tests {
         // Third request at t=0 must wait for the earliest completion (50).
         assert_eq!(p.wait_for_slot(SimTime(0)), SimTime(50));
         p.occupy_until(SimTime(200));
-        assert_eq!(p.waited, 1);
     }
 
     #[test]
@@ -425,7 +348,6 @@ mod tests {
         p.occupy_until(SimTime(10));
         // At t=20 the slot expired: no waiting.
         assert_eq!(p.wait_for_slot(SimTime(20)), SimTime(20));
-        assert_eq!(p.waited, 0);
     }
 
     #[test]
@@ -442,15 +364,6 @@ mod tests {
         let rate = n as f64 / done.as_ns();
         assert!((rate - 0.1).abs() < 0.01, "{rate}");
     }
-
-    #[test]
-    fn reset_clears_accounting() {
-        let mut r = ThroughputResource::new(1.0);
-        r.transfer(SimTime::ZERO, Booking::at_rate(1000, 1.0));
-        r.reset();
-        assert_eq!(r.total_bytes(), 0);
-        assert_eq!(r.next_free(), SimTime::ZERO);
-    }
 }
 
 #[cfg(test)]
@@ -466,7 +379,7 @@ mod proptests {
         fn no_overcommit(
             ops in proptest::collection::vec((0u64..10_000, 1u64..512), 1..100)
         ) {
-            let mut r = ThroughputResource::new(5.0);
+            let mut r = ThroughputResource::default();
             let mut total_dur = SimDuration::ZERO;
             for &(at, bytes) in &ops {
                 let dur = SimDuration::for_bytes(bytes, 5.0);
@@ -475,7 +388,8 @@ mod proptests {
                 prop_assert_eq!(f.0 - dur.0 - wait.0, at, "start = now + wait");
                 total_dur += dur;
             }
-            prop_assert!(r.next_free().0 >= total_dur.0);
+            let last_end = r.intervals.back().map_or(0, |&(_, e)| e);
+            prop_assert!(last_end >= total_dur.0);
         }
 
         /// With monotone request times gap-fit degenerates to FIFO:
@@ -485,7 +399,7 @@ mod proptests {
             mut ops in proptest::collection::vec((0u64..10_000, 1u64..512), 1..100)
         ) {
             ops.sort_by_key(|&(at, _)| at);
-            let mut r = ThroughputResource::new(5.0);
+            let mut r = ThroughputResource::default();
             let mut last = SimTime::ZERO;
             for &(at, bytes) in &ops {
                 let f = r.transfer(SimTime(at), Booking::at_rate(bytes, 5.0));
@@ -522,17 +436,18 @@ mod proptests {
 
         /// The monotone append fast path is bit-identical to the original
         /// always-searching booking path, for arbitrary (including
-        /// out-of-order) request patterns, down to interval/busy/bytes
+        /// out-of-order) request patterns, down to interval and byte
         /// state.
         #[test]
         fn fast_path_matches_reference(
             ops in proptest::collection::vec((0u64..50_000, 1u64..512), 1..200)
         ) {
-            let mut fast = ThroughputResource::new(5.0);
-            let mut slow = ThroughputResource::new(5.0);
+            let mut fast = ThroughputResource::default();
+            let mut slow = ThroughputResource::default();
             for &(at, bytes) in &ops {
-                let f = fast.transfer(SimTime(at), Booking::at_rate(bytes, 5.0));
-                let s = slow.transfer_reference(SimTime(at), bytes);
+                let b = Booking::at_rate(bytes, 5.0);
+                let f = fast.transfer(SimTime(at), b);
+                let s = slow.transfer_reference(SimTime(at), b);
                 prop_assert_eq!(f, s);
             }
             prop_assert_eq!(fast.state_tuple(), slow.state_tuple());
@@ -546,13 +461,14 @@ mod proptests {
         fn fast_path_matches_reference_at_cap(
             gaps in proptest::collection::vec(0u64..40_000, 1100..1300)
         ) {
-            let mut fast = ThroughputResource::new(5.0);
-            let mut slow = ThroughputResource::new(5.0);
+            let mut fast = ThroughputResource::default();
+            let mut slow = ThroughputResource::default();
             let mut t = 0u64;
             for &g in &gaps {
                 t += g;
-                let f = fast.transfer(SimTime(t), Booking::at_rate(64, 5.0));
-                let s = slow.transfer_reference(SimTime(t), 64);
+                let b = Booking::at_rate(64, 5.0);
+                let f = fast.transfer(SimTime(t), b);
+                let s = slow.transfer_reference(SimTime(t), b);
                 prop_assert_eq!(f, s);
             }
             prop_assert_eq!(fast.state_tuple(), slow.state_tuple());

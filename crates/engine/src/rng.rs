@@ -24,11 +24,6 @@ impl DetRng {
         }
     }
 
-    /// The seed this stream was created from.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Derive an independent child stream; `salt` distinguishes siblings.
     ///
     /// Uses SplitMix64 finalization so nearby salts give uncorrelated seeds.
@@ -45,11 +40,6 @@ impl DetRng {
     pub fn below(&mut self, n: u64) -> u64 {
         assert!(n > 0);
         self.inner.random_range(0..n)
-    }
-
-    /// Uniform in `[lo, hi)`.
-    pub fn range(&mut self, lo: u64, hi: u64) -> u64 {
-        self.inner.random_range(lo..hi)
     }
 
     /// Uniform f64 in `[0, 1)`.

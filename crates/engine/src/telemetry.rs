@@ -307,11 +307,6 @@ impl TelemetryHub {
         TelemetryHub { cfg, merged: Mutex::new(TelemetrySampler::new(cfg)) }
     }
 
-    /// The bucketing configuration handed to [`sampler`](Self::sampler).
-    pub fn config(&self) -> TelemetryConfig {
-        self.cfg
-    }
-
     /// A fresh private sampler for one system.
     pub fn sampler(&self) -> TelemetrySampler {
         TelemetrySampler::new(self.cfg)

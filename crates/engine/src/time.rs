@@ -59,11 +59,6 @@ impl SimDuration {
     /// Zero-length duration.
     pub const ZERO: SimDuration = SimDuration(0);
 
-    /// Construct from picoseconds.
-    pub const fn from_ps(ps: u64) -> Self {
-        SimDuration(ps)
-    }
-
     /// Construct from (fractional) nanoseconds.
     pub fn from_ns(ns: f64) -> Self {
         SimDuration((ns * PS_PER_NS as f64).round() as u64)
@@ -74,13 +69,6 @@ impl SimDuration {
         Self::from_ns(us * 1_000.0)
     }
 
-    /// Construct from a cycle count at a clock frequency in GHz.
-    ///
-    /// `cycles_at(4, 2.5)` is the paper's 4-cycle L1 hit: exactly 1.6 ns.
-    pub fn cycles_at(cycles: u64, ghz: f64) -> Self {
-        Self::from_ns(cycles as f64 / ghz)
-    }
-
     /// This span expressed in (fractional) nanoseconds.
     pub fn as_ns(self) -> f64 {
         self.0 as f64 / PS_PER_NS as f64
@@ -89,16 +77,6 @@ impl SimDuration {
     /// This span expressed in seconds.
     pub fn as_secs(self) -> f64 {
         self.0 as f64 * 1e-12
-    }
-
-    /// Scale by an integer factor.
-    pub fn scaled(self, factor: u64) -> Self {
-        SimDuration(self.0 * factor)
-    }
-
-    /// Bytes transferred in this span at `gb_per_s` (GB/s, SI: 1e9 bytes/s).
-    pub fn bytes_at_rate(self, gb_per_s: f64) -> f64 {
-        self.as_secs() * gb_per_s * 1e9
     }
 
     /// Time to move `bytes` at `gb_per_s` (GB/s, SI).
@@ -187,29 +165,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn cycle_conversion_is_exact_at_2_5_ghz() {
-        // 4 cycles at 2.5 GHz = 1.6 ns (paper's L1 latency)
-        assert_eq!(SimDuration::cycles_at(4, 2.5).0, 1_600);
-        // 12 cycles = 4.8 ns (L2)
-        assert_eq!(SimDuration::cycles_at(12, 2.5).0, 4_800);
-        // 53 cycles = 21.2 ns (L3)
-        assert_eq!(SimDuration::cycles_at(53, 2.5).0, 21_200);
-    }
-
-    #[test]
     fn time_arithmetic_roundtrips() {
         let t = SimTime::from_ns(96.4);
         let d = SimDuration::from_ns(49.6);
         assert_eq!((t + d).since(t), d);
         assert!((t + d).as_ns() - 146.0 < 1e-9);
-    }
-
-    #[test]
-    fn bytes_rate_roundtrip() {
-        // 64 bytes at 38.4 GB/s
-        let d = SimDuration::for_bytes(64, 38.4);
-        let b = d.bytes_at_rate(38.4);
-        assert!((b - 64.0).abs() < 0.1, "{b}");
     }
 
     #[test]

@@ -29,24 +29,9 @@ impl Addr {
     pub fn line(self) -> LineAddr {
         LineAddr(self.0 >> CACHE_LINE_BITS)
     }
-
-    /// Offset of this byte within its cache line.
-    pub fn line_offset(self) -> u64 {
-        self.0 & (CACHE_LINE_BYTES - 1)
-    }
-
-    /// Byte address advanced by `bytes`.
-    pub fn offset(self, bytes: u64) -> Addr {
-        Addr(self.0 + bytes)
-    }
 }
 
 impl LineAddr {
-    /// First byte of this line.
-    pub fn base(self) -> Addr {
-        Addr(self.0 << CACHE_LINE_BITS)
-    }
-
     /// The `n`-th line after this one.
     pub fn offset_lines(self, n: u64) -> LineAddr {
         LineAddr(self.0 + n)
@@ -55,11 +40,6 @@ impl LineAddr {
     /// Iterate the `count` consecutive lines starting here.
     pub fn span(self, count: u64) -> impl Iterator<Item = LineAddr> {
         (self.0..self.0 + count).map(LineAddr)
-    }
-
-    /// Number of whole lines needed to hold `bytes` bytes.
-    pub fn lines_for_bytes(bytes: u64) -> u64 {
-        bytes.div_ceil(CACHE_LINE_BYTES)
     }
 }
 
@@ -88,24 +68,8 @@ mod tests {
     }
 
     #[test]
-    fn line_base_roundtrip() {
-        let l = LineAddr(0x1234);
-        assert_eq!(l.base().line(), l);
-        assert_eq!(l.base().line_offset(), 0);
-    }
-
-    #[test]
     fn span_covers_contiguous_lines() {
         let v: Vec<u64> = LineAddr(10).span(3).map(|l| l.0).collect();
         assert_eq!(v, vec![10, 11, 12]);
-    }
-
-    #[test]
-    fn lines_for_bytes_rounds_up() {
-        assert_eq!(LineAddr::lines_for_bytes(0), 0);
-        assert_eq!(LineAddr::lines_for_bytes(1), 1);
-        assert_eq!(LineAddr::lines_for_bytes(64), 1);
-        assert_eq!(LineAddr::lines_for_bytes(65), 2);
-        assert_eq!(LineAddr::lines_for_bytes(32 * 1024), 512);
     }
 }

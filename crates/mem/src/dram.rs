@@ -26,10 +26,6 @@ pub struct DdrTimings {
     pub t_burst: f64,
     /// Write recovery added to write completions, ns.
     pub t_wr: f64,
-    /// Refresh interval (tREFI), ns; 0 disables refresh.
-    pub t_refi: f64,
-    /// Refresh cycle time (tRFC), ns.
-    pub t_rfc: f64,
     /// Banks per channel.
     pub banks: u32,
     /// Row (page) size in bytes.
@@ -54,18 +50,10 @@ impl DdrTimings {
             t_rp: 14.06,
             t_burst: 3.75,
             t_wr: 14.06,
-            t_refi: 0.0, // off by default; see DESIGN.md fidelity notes
-            t_rfc: 350.0,
             banks: 16,
             row_bytes: 8 * 1024,
             bus_gb_s: 17.066,
         }
-    }
-
-    /// Same silicon with refresh enabled (ablation studies).
-    pub fn with_refresh(mut self) -> Self {
-        self.t_refi = 7_800.0;
-        self
     }
 }
 
@@ -99,8 +87,6 @@ struct DramSteps {
     wr: SimDuration,
     /// One 64-byte line on the data bus.
     line: Booking,
-    /// `(tREFI, tRFC)` in ps, when refresh is enabled.
-    refresh: Option<(u64, u64)>,
 }
 
 impl DramSteps {
@@ -115,8 +101,6 @@ impl DramSteps {
             burst: SimDuration::from_ns(t.t_burst),
             wr: SimDuration::from_ns(t.t_wr),
             line: Booking::at_rate(64, t.bus_gb_s),
-            refresh: (t.t_refi > 0.0)
-                .then(|| (SimDuration::from_ns(t.t_refi).0, SimDuration::from_ns(t.t_rfc).0)),
         }
     }
 }
@@ -142,7 +126,7 @@ impl DramChannel {
             banks: (0..timings.banks)
                 .map(|_| Bank { open_row: None, busy_until: SimTime::ZERO })
                 .collect(),
-            bus: ThroughputResource::new(timings.bus_gb_s),
+            bus: ThroughputResource::default(),
             steps: DramSteps::new(&timings),
             timings,
             hits: 0,
@@ -170,19 +154,6 @@ impl DramChannel {
         (bank, row_seq)
     }
 
-    /// Push `t` past any refresh window it lands in (when refresh enabled).
-    fn after_refresh(&self, t: SimTime) -> SimTime {
-        let Some((refi, rfc)) = self.steps.refresh else {
-            return t;
-        };
-        let into = t.0 % refi;
-        if into < rfc {
-            SimTime(t.0 - into + rfc)
-        } else {
-            t
-        }
-    }
-
     /// Perform one line access starting no earlier than `now`.
     ///
     /// Returns the data-available time and the row-buffer outcome.
@@ -190,7 +161,7 @@ impl DramChannel {
         let (bank_idx, row) = self.decode(line);
         let t = self.steps;
         let bank = &self.banks[bank_idx];
-        let start = self.after_refresh(now.max(bank.busy_until));
+        let start = now.max(bank.busy_until);
 
         let outcome = match bank.open_row {
             Some(r) if r == row => RowOutcome::Hit,
@@ -225,31 +196,9 @@ impl DramChannel {
         (data_done, outcome)
     }
 
-    /// Close every open row (e.g. after a simulated quiesce).
-    pub fn precharge_all(&mut self) {
-        for b in &mut self.banks {
-            b.open_row = None;
-        }
-    }
-
-    /// Fraction of accesses that hit an open row.
-    pub fn row_hit_rate(&self) -> f64 {
-        let total = self.hits + self.closed + self.conflicts;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
     /// Total bytes moved over the channel bus.
     pub fn total_bytes(&self) -> u64 {
         self.bus.total_bytes()
-    }
-
-    /// Configured timing set.
-    pub fn timings(&self) -> &DdrTimings {
-        &self.timings
     }
 }
 
@@ -281,13 +230,6 @@ impl MemoryController {
         self.channels[ch].access(now, local, is_write)
     }
 
-    /// Close all rows on all channels.
-    pub fn precharge_all(&mut self) {
-        for c in &mut self.channels {
-            c.precharge_all();
-        }
-    }
-
     /// Per-controller aggregate row-hit rate.
     pub fn row_hit_rate(&self) -> f64 {
         let (h, t): (u64, u64) = self
@@ -300,11 +242,6 @@ impl MemoryController {
         } else {
             h as f64 / t as f64
         }
-    }
-
-    /// Total bytes moved by all channels.
-    pub fn total_bytes(&self) -> u64 {
-        self.channels.iter().map(|c| c.total_bytes()).sum()
     }
 
     /// Controller-wide counter totals, summed over channels:
@@ -321,11 +258,6 @@ impl MemoryController {
             t[5] += c.total_bytes();
         }
         t
-    }
-
-    /// Shared access to the underlying channels (stats, tests).
-    pub fn channels(&self) -> &[DramChannel] {
-        &self.channels
     }
 }
 
@@ -396,7 +328,9 @@ mod tests {
             let (t, _) = c.access(now, LineAddr(i), false);
             now = t;
         }
-        assert!(c.row_hit_rate() > 0.9, "rate {}", c.row_hit_rate());
+        // More than 90% of the accesses hit an open row.
+        let misses = c.closed + c.conflicts;
+        assert!(c.hits > 9 * misses, "{} hits, {misses} misses", c.hits);
     }
 
     #[test]
@@ -415,31 +349,6 @@ mod tests {
     }
 
     #[test]
-    fn refresh_blocks_access_windows() {
-        let mut c = DramChannel::new(DdrTimings::ddr4_2133().with_refresh());
-        // Land inside the first refresh window.
-        let (t, _) = c.access(SimTime(0), LineAddr(0), false);
-        assert!(t.as_ns() >= 350.0, "access must wait out tRFC: {t}");
-    }
-
-    #[test]
-    fn refresh_costs_bandwidth() {
-        let run = |timings: DdrTimings| {
-            let mut c = DramChannel::new(timings);
-            let mut last = SimTime::ZERO;
-            for i in 0..40_000u64 {
-                let (t, _) = c.access(SimTime::ZERO, LineAddr(i), false);
-                last = last.max(t);
-            }
-            c.total_bytes() as f64 / last.as_secs() / 1e9
-        };
-        let without = run(DdrTimings::ddr4_2133());
-        let with = run(DdrTimings::ddr4_2133().with_refresh());
-        assert!(with < without, "refresh steals bandwidth: {with} vs {without}");
-        assert!(with > 0.9 * without, "but only a few percent: {with} vs {without}");
-    }
-
-    #[test]
     fn controller_interleaves_lines_across_channels() {
         let mc = MemoryController::new(4, DdrTimings::ddr4_2133());
         let chans: Vec<usize> = (0..8).map(|i| mc.channel_of(LineAddr(i))).collect();
@@ -455,7 +364,7 @@ mod tests {
             let (t, _) = mc.access(SimTime::ZERO, LineAddr(i), false);
             last = last.max(t);
         }
-        let gbs = mc.total_bytes() as f64 / last.as_secs() / 1e9;
+        let gbs = mc.totals()[5] as f64 / last.as_secs() / 1e9;
         assert!(gbs > 55.0 && gbs < 68.5, "aggregate {gbs} GB/s");
     }
 
@@ -475,26 +384,15 @@ mod tests {
         // The last timing set has half-picosecond RP and RCD, so rounding
         // each before summing would be off by one picosecond.
         let half_ps = DdrTimings { t_rp: 14.0625, t_rcd: 14.0625, ..DdrTimings::ddr4_2133() };
-        for t in [DdrTimings::ddr4_2133(), DdrTimings::ddr4_2133().with_refresh(), half_ps] {
+        for t in [DdrTimings::ddr4_2133(), half_ps] {
             let s = DramChannel::new(t).steps;
             assert_eq!(s.pre_cas, [ns(0.0), ns(t.t_rcd), ns(t.t_rp + t.t_rcd)]);
             assert_eq!(s.cas, ns(t.t_cas));
             assert_eq!(s.burst, ns(t.t_burst));
             assert_eq!(s.wr, ns(t.t_wr));
             assert_eq!(s.line, Booking { bytes: 64, dur: SimDuration::for_bytes(64, t.bus_gb_s) });
-            let refresh = (t.t_refi > 0.0).then(|| (ns(t.t_refi).0, ns(t.t_rfc).0));
-            assert_eq!(s.refresh, refresh);
         }
         assert_ne!(ns(half_ps.t_rp + half_ps.t_rcd), ns(half_ps.t_rp) + ns(half_ps.t_rcd));
-    }
-
-    #[test]
-    fn precharge_all_forces_closed() {
-        let mut c = ch();
-        c.access(SimTime::ZERO, LineAddr(0), false);
-        c.precharge_all();
-        let (_, o) = c.access(SimTime(1_000_000), LineAddr(1), false);
-        assert_eq!(o, RowOutcome::Closed);
     }
 }
 

@@ -168,16 +168,6 @@ impl Die {
         Die { variant, rings }
     }
 
-    /// This die's variant.
-    pub fn variant(&self) -> DieVariant {
-        self.variant
-    }
-
-    /// Number of rings (1 or 2).
-    pub fn n_rings(&self) -> usize {
-        self.rings.len()
-    }
-
     /// (ring, position) of `stop`. Queues exist on both rings; this returns
     /// the first occurrence — use `locate_on_ring` for a specific ring.
     fn locate(&self, stop: Stop) -> (usize, usize) {
@@ -194,16 +184,6 @@ impl Die {
             .iter()
             .position(|&s| s == stop)
             .unwrap_or_else(|| panic!("stop {stop:?} not on ring {ring}"))
-    }
-
-    /// Ring index of a die-local core.
-    pub fn ring_of_core(&self, core: u16) -> usize {
-        self.locate(Stop::CoreSlice(core)).0
-    }
-
-    /// Ring index of an IMC.
-    pub fn ring_of_imc(&self, imc: u8) -> usize {
-        self.locate(Stop::Imc(imc)).0
     }
 
     /// COD cluster (0 or 1) of a die-local core: equal halves by index,
@@ -267,13 +247,13 @@ mod tests {
         let d = Die::new(DieVariant::TwelveCore);
         // Cores 0..7 on ring 0, 8..11 on ring 1 (paper Fig. 1a).
         for c in 0..8 {
-            assert_eq!(d.ring_of_core(c), 0, "core {c}");
+            assert_eq!(d.locate(Stop::CoreSlice(c)).0, 0, "core {c}");
         }
         for c in 8..12 {
-            assert_eq!(d.ring_of_core(c), 1, "core {c}");
+            assert_eq!(d.locate(Stop::CoreSlice(c)).0, 1, "core {c}");
         }
-        assert_eq!(d.ring_of_imc(0), 0);
-        assert_eq!(d.ring_of_imc(1), 1);
+        assert_eq!(d.locate(Stop::Imc(0)).0, 0);
+        assert_eq!(d.locate(Stop::Imc(1)).0, 1);
     }
 
     #[test]
@@ -287,9 +267,9 @@ mod tests {
         }
         // The asymmetry the paper analyzes: node 1 cores 6 and 7 sit on
         // ring 0, its other four cores on ring 1.
-        assert_eq!(d.ring_of_core(6), 0);
-        assert_eq!(d.ring_of_core(7), 0);
-        assert_eq!(d.ring_of_core(8), 1);
+        assert_eq!(d.locate(Stop::CoreSlice(6)).0, 0);
+        assert_eq!(d.locate(Stop::CoreSlice(7)).0, 0);
+        assert_eq!(d.locate(Stop::CoreSlice(8)).0, 1);
     }
 
     #[test]
@@ -342,7 +322,7 @@ mod tests {
     #[test]
     fn eight_core_die_is_single_ring() {
         let d = Die::new(DieVariant::EightCore);
-        assert_eq!(d.n_rings(), 1);
+        assert_eq!(d.rings.len(), 1);
         let dist = d.distance(Stop::CoreSlice(0), Stop::CoreSlice(7));
         assert_eq!(dist.queues, 0);
     }
@@ -350,10 +330,10 @@ mod tests {
     #[test]
     fn eighteen_core_die_shape() {
         let d = Die::new(DieVariant::EighteenCore);
-        assert_eq!(d.n_rings(), 2);
-        assert_eq!(d.ring_of_core(7), 0);
-        assert_eq!(d.ring_of_core(8), 1);
-        assert_eq!(d.ring_of_core(17), 1);
+        assert_eq!(d.rings.len(), 2);
+        assert_eq!(d.locate(Stop::CoreSlice(7)).0, 0);
+        assert_eq!(d.locate(Stop::CoreSlice(8)).0, 1);
+        assert_eq!(d.locate(Stop::CoreSlice(17)).0, 1);
         assert_eq!(DieVariant::EighteenCore.cores(), 18);
     }
 

@@ -150,16 +150,6 @@ impl SystemTopology {
         }
     }
 
-    /// The paper's test system: two 12-core dies.
-    pub fn dual_socket_12core(cod: bool) -> Self {
-        Self::new(2, DieVariant::TwelveCore, cod)
-    }
-
-    /// Whether Cluster-on-Die is active.
-    pub fn cod(&self) -> bool {
-        self.cod
-    }
-
     /// Number of sockets.
     pub fn n_sockets(&self) -> u8 {
         self.dies.len() as u8
@@ -251,16 +241,6 @@ impl SystemTopology {
         }
     }
 
-    /// Node owning home agent `ha`.
-    pub fn node_of_ha(&self, ha: HaId) -> NodeId {
-        let socket = ha.0 / 2;
-        if self.cod {
-            NodeId(socket * 2 + ha.0 % 2)
-        } else {
-            NodeId(socket)
-        }
-    }
-
     /// Node owning slice `slice`.
     pub fn node_of_slice(&self, slice: SliceId) -> NodeId {
         self.node_of_core(CoreId(slice.0))
@@ -339,27 +319,27 @@ impl SystemTopology {
         let (sb, ib) = self.locate(b);
         self.stop_distance(ia, ib, sa != sb)
     }
-
-    /// The paper's "hop count" between two nodes: 0 = same node,
-    /// then 1 + queue-crossings + QPI-crossings between representative
-    /// agents (matches Fig. 6's 1-hop-on-chip / 1/2/3-hop QPI taxonomy).
-    pub fn node_hops(&self, a: NodeId, b: NodeId) -> u32 {
-        if a == b {
-            return 0;
-        }
-        let ha_a = self.has_of_node(a)[0];
-        let ha_b = self.has_of_node(b)[0];
-        let d = self.distance(Endpoint::Ha(ha_a), Endpoint::Ha(ha_b));
-        d.queues + d.qpi
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The paper's test system: two 12-core dies.
     fn topo(cod: bool) -> SystemTopology {
-        SystemTopology::dual_socket_12core(cod)
+        SystemTopology::new(2, DieVariant::TwelveCore, cod)
+    }
+
+    /// The paper's hop count between two nodes: 0 within a node, else the
+    /// on-chip queue and QPI crossings between the nodes' first home
+    /// agents (Fig. 6's 1-hop-on-chip / 1/2/3-hop QPI taxonomy).
+    fn node_hops(t: &SystemTopology, a: NodeId, b: NodeId) -> u32 {
+        if a == b {
+            return 0;
+        }
+        let ha = |n| Endpoint::Ha(t.has_of_node(n)[0]);
+        let d = t.distance(ha(a), ha(b));
+        d.queues + d.qpi
     }
 
     #[test]
@@ -464,12 +444,12 @@ mod tests {
         let t = topo(true);
         // Paper §VI-C: node0-node2 one hop (QPI), node0-node3 and
         // node1-node2 two hops, node1-node3 three hops.
-        assert_eq!(t.node_hops(NodeId(0), NodeId(0)), 0);
-        assert_eq!(t.node_hops(NodeId(0), NodeId(1)), 1); // on-chip queue
-        assert_eq!(t.node_hops(NodeId(0), NodeId(2)), 1); // QPI only
-        assert_eq!(t.node_hops(NodeId(0), NodeId(3)), 2);
-        assert_eq!(t.node_hops(NodeId(1), NodeId(2)), 2);
-        assert_eq!(t.node_hops(NodeId(1), NodeId(3)), 3);
+        assert_eq!(node_hops(&t, NodeId(0), NodeId(0)), 0);
+        assert_eq!(node_hops(&t, NodeId(0), NodeId(1)), 1); // on-chip queue
+        assert_eq!(node_hops(&t, NodeId(0), NodeId(2)), 1); // QPI only
+        assert_eq!(node_hops(&t, NodeId(0), NodeId(3)), 2);
+        assert_eq!(node_hops(&t, NodeId(1), NodeId(2)), 2);
+        assert_eq!(node_hops(&t, NodeId(1), NodeId(3)), 3);
     }
 
     #[test]
@@ -491,7 +471,7 @@ mod tests {
         assert_eq!(t.n_nodes(), 4);
         assert_eq!(t.cores_of_node(NodeId(0)).len(), 4);
         // Single ring: no queue crossings on chip.
-        assert_eq!(t.node_hops(NodeId(0), NodeId(1)), 0);
+        assert_eq!(node_hops(&t, NodeId(0), NodeId(1)), 0);
     }
 }
 
@@ -534,7 +514,7 @@ mod proptests {
                 let l = LineAddr(base.0 + line);
                 prop_assert_eq!(t.home_node_of_line(l), node);
                 let ha = t.ha_for_line(l);
-                prop_assert_eq!(t.node_of_ha(ha), node);
+                prop_assert!(t.has_of_node(node).contains(&ha));
                 for req in t.nodes() {
                     let s = t.slice_for_line(l, req);
                     prop_assert_eq!(t.node_of_slice(s), req);
