@@ -49,11 +49,11 @@ fn explain_fig7_is_pinned() {
 #[test]
 fn trace_export_is_pinned() {
     let path = std::env::temp_dir().join(format!("hswx-trace-golden-{}.json", std::process::id()));
-    let args = "trace --mode cod --state S --level l3 --home 1";
+    let args = "trace --mode cod --state S --level l3 --placer 6,12 --home 1";
     let _ = hswx_stdout(&format!("{args} --out {}", path.display()));
     let json = std::fs::read(&path).expect("trace file written");
     let _ = std::fs::remove_file(&path);
-    assert_digest(args, &json, 0x302A7D63442BA84C);
+    assert_digest(args, &json, 0x4C0EE1B189E9BE7E);
 }
 
 #[test]
@@ -63,9 +63,11 @@ fn out_of_range_scenario_flags_are_errors() {
     // that does not exist. Cluster-on-die has four nodes, the other
     // modes two; the system has 24 cores and a buffer holds 64 B to 1 GiB.
     // A stream stores one way, so `--write` with `--write-nt` is refused
-    // rather than measured as either. A positional argument the command
-    // does not read is refused too, before any system is built or file
-    // written.
+    // rather than measured as either. The placer list must fit the
+    // state: a Shared line needs two distinct cores, Modified and
+    // Exclusive take exactly one. A trace records at least one access. A
+    // positional argument the command does not read is refused too,
+    // before any system is built or file written.
     let out = std::env::temp_dir().join(format!("hswx-range-{}.json", std::process::id()));
     let trace = format!("--out {}", out.display());
     let campaign = std::env::temp_dir().join(format!("hswx-range-campaign-{}", std::process::id()));
@@ -94,6 +96,11 @@ fn out_of_range_scenario_flags_are_errors() {
         (&format!("trace --size 0 {trace}"), "--size 0 out of range (64..=1073741824)"),
         ("explain fig7 0", "SIZE_KIB 0 out of range (1..=1048576)"),
         ("bandwidth --write --write-nt", "--write and --write-nt are exclusive: pick one store kind"),
+        ("latency --state S", "--state S needs at least two distinct --placer cores (got 1)"),
+        ("explain --state S --placer 1,1", "--state S needs at least two distinct --placer cores (got 1)"),
+        ("bandwidth --state M --placer 1,13", "--state M takes exactly one --placer core (got 2)"),
+        (&format!("trace --state E --placer 0,1 {trace}"), "--state E takes exactly one --placer core (got 2)"),
+        (&format!("trace --accesses 0 {trace}"), "--accesses must be at least 1"),
         ("info cod", "unexpected argument cod"),
         ("latency --level l1 oops", "unexpected argument oops"),
         (&format!("trace out.json {trace}"), "unexpected argument out.json"),
