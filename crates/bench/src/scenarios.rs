@@ -231,9 +231,9 @@ pub fn aggregate_write(
 
 /// The cache level a data set of `size` bytes lands in, per mode.
 ///
-/// Same thresholds as [`Placement::level_for_size`], answered from the
-/// cached [`GeomSummary`] instead of a throwaway `System` (asserted
-/// equivalent in this module's tests).
+/// Same thresholds as [`Placement::level_for_size`], answered from a
+/// per-mode summary of the cache geometry, computed once, instead of a
+/// throwaway `System` (asserted equivalent in this module's tests).
 pub fn level_of(mode: CoherenceMode, size: u64) -> Level {
     let g = geom_summary(mode);
     if size <= g.l1 {

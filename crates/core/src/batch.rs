@@ -16,7 +16,8 @@
 //!    batches;
 //! 2. a **lookahead prefetcher** walks a few accesses ahead of the
 //!    dispatch loop, hinting the host CPU to pull the L3 slice set
-//!    metadata those walks will probe ([`SetAssocCache::prefetch_set`];
+//!    metadata those walks will probe
+//!    ([`SetAssocCache::prefetch_set`](hswx_mem::SetAssocCache::prefetch_set);
 //!    the few-KiB L1/L2 arrays are permanently host-warm) so the walk
 //!    itself hits in the host cache;
 //! 3. the dispatch loop then runs the **exact sequential walk code** —
@@ -179,14 +180,15 @@ impl BatchScratch {
 pub(crate) const LOOKAHEAD: usize = 8;
 
 /// Preferred chunk length for callers that stream very long access
-/// chains through [`System::run_batch`] ([`Placement`]
-/// (crate::placement::Placement), the pointer chases). Batching is a
-/// memory-footprint trade: the access array plus one 72-byte reply slot
-/// per access must stay resident while the chunk runs, so a multi-million
-/// access chain submitted in one call drags hundreds of megabytes through
-/// the host cache and gives back more than the prefetcher won. 4096
-/// accesses keep the working set a few hundred kilobytes — LLC-resident —
-/// while still amortizing staging across long stretches.
+/// chains through [`System::run_batch`]
+/// ([`Placement`](crate::placement::Placement), the pointer chases).
+/// Batching is a memory-footprint trade: the access array plus one
+/// 72-byte reply slot per access must stay resident while the chunk
+/// runs, so a multi-million access chain submitted in one call drags
+/// hundreds of megabytes through the host cache and gives back more
+/// than the prefetcher won. 4096 accesses keep the working set a few
+/// hundred kilobytes — LLC-resident — while still amortizing staging
+/// across long stretches.
 pub const BATCH_CHUNK: usize = 4096;
 
 impl System {
@@ -240,11 +242,11 @@ impl System {
     /// Run a batch of accesses through the pipelined batch engine.
     ///
     /// Bit-identical to dispatching the same accesses through the
-    /// sequential entry points in order (see [`run_batch_seq`]
-    /// (Self::run_batch_seq) and the module docs for the determinism
-    /// argument), but substantially faster on long-walk batches: the SoA
-    /// staging pass and lookahead prefetcher overlap the host-memory
-    /// stalls that otherwise serialize consecutive walks.
+    /// sequential entry points in order (see
+    /// [`run_batch_seq`](Self::run_batch_seq) and the module docs for the
+    /// determinism argument), but substantially faster on long-walk
+    /// batches: the SoA staging pass and lookahead prefetcher overlap the
+    /// host-memory stalls that otherwise serialize consecutive walks.
     pub fn run_batch(&mut self, batch: &[Access]) -> BatchOutcome {
         self.stage_batch(batch);
         let n_nodes = self.topo.n_nodes() as usize;

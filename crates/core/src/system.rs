@@ -632,8 +632,9 @@ impl System {
 
     /// Attach a span tracer: every subsequent walk records a
     /// causally-ordered span tree into it. Tracing is observation-only —
-    /// latencies, data sources, statistics, and [`state_digest`]
-    /// (`Self::state_digest`) are bit-identical with it on or off.
+    /// latencies, data sources, statistics, and
+    /// [`state_digest`](Self::state_digest) are bit-identical with it on
+    /// or off.
     pub fn attach_tracer(&mut self, recorder: SpanRecorder) {
         self.tracer = Some(Box::new(recorder));
     }
@@ -2123,15 +2124,21 @@ impl System {
         v
     }
 
-    /// Aggregate DRAM row-hit rate across all controllers.
+    /// DRAM row-hit rate over every access of every channel: pooled row
+    /// hits over pooled reads and writes, so an idle controller adds
+    /// nothing; 0.0 before the first DRAM access.
     pub fn dram_row_hit_rate(&self) -> f64 {
-        let mut h = 0.0;
-        let mut n = 0;
-        for m in &self.mem {
-            h += m.row_hit_rate();
-            n += 1;
+        let (mut hits, mut accesses) = (0, 0);
+        for mc in &self.mem {
+            let [reads, writes, row_hits, ..] = mc.totals();
+            hits += row_hits;
+            accesses += reads + writes;
         }
-        h / n as f64
+        if accesses == 0 {
+            0.0
+        } else {
+            hits as f64 / accesses as f64
+        }
     }
 
     /// Reset event counters (cache/directory state is preserved).

@@ -8,15 +8,16 @@
 //! # Layout
 //!
 //! The array is stored *flat*: one contiguous `ways`-strided buffer per
-//! field (packed tags, LRU ticks, payloads) plus a per-set occupancy count,
-//! instead of a `Vec<Vec<Way>>` of heap-allocated sets. A set probe is one
-//! linear scan over at most `ways` adjacent `u64` tags — a single cache
-//! line or two of the *host* — where the nested layout cost a double
-//! pointer chase per probe. Set-relative slot order replicates the old
-//! `Vec` semantics exactly (push at the end, `swap_remove` on removal), so
-//! victim choice under every policy — including the slot-indexed Random
-//! policy — is bit-identical to the original implementation (proved by the
-//! differential proptests against the retained [`reference`] oracle).
+//! field (packed tags, `u32` LRU ticks, payloads) plus a per-set
+//! occupancy count, instead of a `Vec<Vec<Way>>` of heap-allocated sets.
+//! A set probe is one linear scan over at most `ways` adjacent `u64`
+//! tags — a single cache line or two of the *host* — where the nested
+//! layout cost a double pointer chase per probe. Set-relative slot order
+//! replicates the old `Vec` semantics exactly (push at the end,
+//! `swap_remove` on removal), so victim choice under every policy —
+//! including the slot-indexed Random policy — is bit-identical to the
+//! original implementation (proved by the differential proptests against
+//! the retained [`reference`] oracle).
 //!
 //! Only the per-set arrays (occupancy, PLRU bits) exist from construction.
 //! The per-slot arrays (tags, LRU ticks, payloads) are allocated by the
@@ -26,6 +27,16 @@
 //! An empty set is answered from its zero occupancy alone, so a cache
 //! that was never filled behaves exactly like a filled one that was
 //! emptied.
+//!
+//! # LRU ticks
+//!
+//! Every `access` and `insert` takes the next value of a cache-wide
+//! `u32` counter and stamps it on the slot it touches. Only the order of
+//! the ticks *within one set* is ever read (the LRU victim, and the
+//! oldest-tick fallback of tree-PLRU on non-power-of-two ways), so when
+//! the counter would pass `u32::MAX` each set's occupied slots are
+//! renumbered `1..=occ` in tick order and the counter restarts above
+//! them: every victim stays the one a never-wrapping counter picks.
 
 use crate::addr::LineAddr;
 use crate::geometry::CacheGeometry;
@@ -82,8 +93,9 @@ pub struct SetAssocCache<S> {
     /// are valid. This is the only array touched by a miss probe. Empty
     /// until the first insert, like `lru` and `states`.
     tags: Vec<u64>,
-    /// LRU ticks, parallel to `tags`.
-    lru: Vec<u64>,
+    /// LRU ticks, parallel to `tags`; unique within a set (see the
+    /// module docs for the renumbering that keeps them in `u32`).
+    lru: Vec<u32>,
     /// Payloads, parallel to `tags` (`None` in unoccupied slots).
     states: Vec<Option<S>>,
     /// Occupied slots per set.
@@ -95,7 +107,8 @@ pub struct SetAssocCache<S> {
     /// `n_sets - 1` when the set count is a power of two, else `u64::MAX`
     /// as a "use modulo" sentinel (the HitME organization has 224 sets).
     set_mask: u64,
-    tick: u64,
+    /// The last tick handed out; no slot holds a larger one.
+    tick: u32,
     policy: Replacement,
     rng_state: u64,
 }
@@ -131,16 +144,17 @@ impl<S> SetAssocCache<S> {
     }
 
     /// Zeroed tags and LRU ticks and empty payloads for `slots` slots.
-    fn slot_arrays(slots: usize) -> (Vec<u64>, Vec<u64>, Vec<Option<S>>) {
+    fn slot_arrays(slots: usize) -> (Vec<u64>, Vec<u32>, Vec<Option<S>>) {
         let mut states = Vec::new();
         states.resize_with(slots, || None);
         (vec![0; slots], vec![0; slots], states)
     }
 
     /// Walk the PLRU tree of `set` away from the way that was just
-    /// touched (classic tree-PLRU update).
+    /// touched (classic tree-PLRU update). Only [`Self::plru_victim`]
+    /// reads the bits, so other policies skip the walk.
     fn plru_touch(&mut self, set: usize, way_idx: usize) {
-        if !self.ways.is_power_of_two() {
+        if self.policy != Replacement::TreePlru || !self.ways.is_power_of_two() {
             return;
         }
         let mut node = 0usize; // root
@@ -194,7 +208,7 @@ impl<S> SetAssocCache<S> {
         let base = set * self.ways;
         let occ = self.occ[set] as usize;
         let mut best = 0usize;
-        let mut best_lru = u64::MAX;
+        let mut best_lru = u32::MAX;
         for (i, &l) in self.lru[base..base + occ].iter().enumerate() {
             let better = l < best_lru;
             best = if better { i } else { best };
@@ -210,7 +224,7 @@ impl<S> SetAssocCache<S> {
         let base = set * self.ways;
         let occ = self.occ[set] as usize;
         let mut best = 0usize;
-        let mut best_lru = u64::MAX;
+        let mut best_lru = u32::MAX;
         for (i, &l) in self.lru[base..base + occ].iter().enumerate() {
             if l < best_lru {
                 best_lru = l;
@@ -327,9 +341,29 @@ impl<S> SetAssocCache<S> {
         let _ = line;
     }
 
-    fn bump(&mut self) -> u64 {
+    fn bump(&mut self) -> u32 {
+        if self.tick == u32::MAX {
+            self.renumber_ticks();
+        }
         self.tick += 1;
         self.tick
+    }
+
+    /// Renumber each set's occupied slots `1..=occ` in tick order and
+    /// restart the counter above them (see the module docs).
+    #[cold]
+    fn renumber_ticks(&mut self) {
+        let mut order = Vec::with_capacity(self.ways);
+        for s in 0..self.n_sets {
+            let base = s * self.ways;
+            order.clear();
+            order.extend(base..base + self.occ[s] as usize);
+            order.sort_unstable_by_key(|&idx| self.lru[idx]);
+            for (rank, &idx) in (1..).zip(&order) {
+                self.lru[idx] = rank;
+            }
+        }
+        self.tick = self.ways as u32;
     }
 
     /// Total line capacity.
@@ -954,33 +988,66 @@ mod proptests {
                 new = new.clone();
                 prop_assert!(new.tags.is_empty());
             }
-            for (i, &(line, op)) in ops.iter().enumerate() {
-                let la = LineAddr(line);
-                let v = i as u32;
-                match op {
-                    0..=2 => {
-                        prop_assert_eq!(new.insert(la, v), old.insert(la, v), "insert {}", line);
-                    }
-                    3 => {
-                        let a = new.access(la).map(|s| *s);
-                        let b = old.access(la).map(|s| *s);
-                        prop_assert_eq!(a, b, "access {}", line);
-                    }
-                    4 => {
-                        prop_assert_eq!(new.remove(la), old.remove(la), "remove {}", line);
-                    }
-                    5 => {
-                        prop_assert_eq!(new.peek(la), old.peek(la), "peek {}", line);
-                        prop_assert_eq!(new.contains(la), old.contains(la));
-                    }
-                    _ => {
-                        let a: Vec<(LineAddr, u32)> = new.iter().map(|(l, &s)| (l, s)).collect();
-                        let b: Vec<(LineAddr, u32)> = old.iter().map(|(l, &s)| (l, s)).collect();
-                        prop_assert_eq!(a, b, "iteration order diverged");
-                    }
+            run_against_reference(&mut new, &mut old, &ops);
+        }
+
+        /// The same differential across the LRU tick counter's wrap: the
+        /// counter starts a few hundred below `u32::MAX`, so the sets are
+        /// renumbered mid-stream, and every result must still match the
+        /// reference, whose `u64` counter never wraps.
+        #[test]
+        fn tick_wrap_is_invisible(
+            policy_sel in 0u8..3,
+            ways_sel in 0u8..4,
+            headroom in 0u32..300,
+            ops in proptest::collection::vec((0u64..64, 0u8..7), 700..1000)
+        ) {
+            let policy = [Replacement::Lru, Replacement::TreePlru, Replacement::Random]
+                [policy_sel as usize];
+            let ways = [2u32, 3, 5, 8][ways_sel as usize];
+            let geom = CacheGeometry::new(4 * ways as u64 * 64, ways);
+            let mut new: SetAssocCache<u32> = SetAssocCache::with_policy(geom, policy);
+            let mut old: RefSetAssocCache<u32> = RefSetAssocCache::with_policy(geom, policy);
+            new.tick = u32::MAX - headroom;
+            run_against_reference(&mut new, &mut old, &ops);
+            prop_assert!(new.tick < 1000, "the counter wrapped within the stream");
+        }
+    }
+
+    /// Apply `ops` (line, op) to both caches, asserting that every insert,
+    /// access, remove, peek and contains returns the same value, and that
+    /// both iterate their lines in the same order.
+    fn run_against_reference(
+        new: &mut SetAssocCache<u32>,
+        old: &mut RefSetAssocCache<u32>,
+        ops: &[(u64, u8)],
+    ) {
+        for (i, &(line, op)) in ops.iter().enumerate() {
+            let la = LineAddr(line);
+            let v = i as u32;
+            match op {
+                0..=2 => {
+                    assert_eq!(new.insert(la, v), old.insert(la, v), "insert {}", line);
                 }
-                prop_assert_eq!(new.iter().count(), old.len());
+                3 => {
+                    let a = new.access(la).map(|s| *s);
+                    let b = old.access(la).map(|s| *s);
+                    assert_eq!(a, b, "access {}", line);
+                }
+                4 => {
+                    assert_eq!(new.remove(la), old.remove(la), "remove {}", line);
+                }
+                5 => {
+                    assert_eq!(new.peek(la), old.peek(la), "peek {}", line);
+                    assert_eq!(new.contains(la), old.contains(la));
+                }
+                _ => {
+                    let a: Vec<(LineAddr, u32)> = new.iter().map(|(l, &s)| (l, s)).collect();
+                    let b: Vec<(LineAddr, u32)> = old.iter().map(|(l, &s)| (l, s)).collect();
+                    assert_eq!(a, b, "iteration order diverged");
+                }
             }
+            assert_eq!(new.iter().count(), old.len());
         }
     }
 }

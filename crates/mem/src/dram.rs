@@ -230,20 +230,6 @@ impl MemoryController {
         self.channels[ch].access(now, local, is_write)
     }
 
-    /// Per-controller aggregate row-hit rate.
-    pub fn row_hit_rate(&self) -> f64 {
-        let (h, t): (u64, u64) = self
-            .channels
-            .iter()
-            .map(|c| (c.hits, c.hits + c.closed + c.conflicts))
-            .fold((0, 0), |(a, b), (h, t)| (a + h, b + t));
-        if t == 0 {
-            0.0
-        } else {
-            h as f64 / t as f64
-        }
-    }
-
     /// Controller-wide counter totals, summed over channels:
     /// `[reads, writes, row_hits, row_closed, row_conflicts, bytes]`.
     /// One stable shape for metrics aggregation.

@@ -3,7 +3,10 @@
 //! the coherence-state mechanisms the paper's methodology relies on.
 
 use hswx::coherence::MesifState;
+use hswx::engine::MetricsRegistry;
 use hswx::prelude::*;
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
 fn sys(mode: CoherenceMode) -> System {
     System::new(SystemConfig::e5_2680_v3(mode))
@@ -125,6 +128,33 @@ fn dram_row_locality_follows_footprint() {
         small_rate > large_rate + 0.2,
         "row-hit rate small {small_rate:.2} vs large {large_rate:.2}"
     );
+}
+
+#[test]
+fn dram_row_hit_rate_pools_every_channel() {
+    // A node-0 stream leaves socket 1's controllers idle; the rate must
+    // be the pooled one the metrics export carries, not a per-controller
+    // mean that counts the idle ones as 0%. `s` publishes its counters
+    // to `reg` when it drops at the end of the block.
+    let reg = Arc::new(MetricsRegistry::new());
+    let rate = {
+        let _scope = MetricsRegistry::set_ambient(Arc::clone(&reg));
+        let mut s = sys(CoherenceMode::SourceSnoop);
+        let buf = Buffer::on_node(&s, NodeId(0), 8 << 20, 0);
+        stream_read(
+            &mut s,
+            CoreId(0),
+            &buf.lines,
+            LoadWidth::Avx256,
+            SimTime::ZERO,
+        );
+        s.dram_row_hit_rate()
+    };
+    let counter = |name: &str| reg.counter(name).load(Ordering::Relaxed);
+    let hits = counter("dram.row_hits");
+    let accesses = counter("dram.reads") + counter("dram.writes");
+    assert!(hits > 0, "the stream reached DRAM ({accesses} accesses)");
+    assert_eq!(rate, hits as f64 / accesses as f64);
 }
 
 #[test]
