@@ -744,10 +744,12 @@ fn calibrate(m: &mut Cells) -> JobOutput {
 
 /// Ablation: HitME directory-cache capacity vs the Figure 7 effect, on
 /// the Fig. 7 workload (node 0 reads lines shared with F in node 1,
-/// homed in node 2). Without the directory cache every access
-/// broadcasts; with an infinite one every access takes the memory-forward
-/// fast path regardless of footprint — the size-dependent crossover is
-/// *caused by* the directory cache.
+/// homed in node 2). Without the directory cache the in-memory directory
+/// stays `shared`, and with an infinite one every line hits; in both,
+/// memory answers every access without a broadcast, so the two series
+/// are equal at every size. A finite cache broadcasts for the lines it
+/// no longer covers — the size-dependent crossover is *caused by* the
+/// directory cache.
 fn ablate_hitme(m: &mut Cells) -> Figure {
     let mut fig = Figure::new("ablate_hitme", "ns per load (F:1 H:2 shared lines)");
     for (label, entries) in [
@@ -781,12 +783,15 @@ fn ablate_hitme(m: &mut Cells) -> Figure {
 }
 
 /// Ablation: the stale in-memory-directory broadcast penalty (Table V
-/// mechanism), with the HitME cache enabled and disabled. With the
-/// AllocateShared policy active, cross-node sharing flips the in-memory
-/// directory to `snoop-all`, so every post-eviction memory access pays a
-/// broadcast; without the directory cache the state stays `shared` and
-/// memory answers directly — "instead of shared which would be used
-/// without the directory cache" (paper, §VI-C).
+/// mechanism), with the HitME cache enabled and disabled. Cross-node
+/// sharing leaves the in-memory directory `snoop-all`, so every
+/// post-eviction memory access pays a broadcast; in-home sharing needs
+/// none. Each HitME-off row equals its HitME-on row: `Placement::shared`
+/// at `Level::Memory` demotes the first core's copies to memory before
+/// the second core reads, so that read is granted Exclusive from memory,
+/// and a cross-node Exclusive grant sets `snoop-all` whatever the HitME
+/// setting. The rows therefore do not show the paper's "instead of
+/// shared which would be used without the directory cache" (§VI-C).
 fn ablate_directory(m: &mut Cells) -> Table {
     let (id, columns) = ("ablate_directory", ["ns per load", "dir broadcasts"]);
     let mut t = Table::new(id, &["variant", columns[0], columns[1]]);
@@ -901,14 +906,12 @@ fn ablate_nt(m: &mut Cells) -> Table {
 
 /// Ablation: L3 victim-selection policy around the L3 capacity. Random
 /// replacement keeps a proportional fraction of an oversized cyclic
-/// working set resident, while (P)LRU evicts exactly what is about to be
-/// reused. The 20-way L3 is not a power of two, so tree-PLRU uses its
-/// oldest-untouched fallback and coincides with true LRU here.
+/// working set resident, while true LRU evicts exactly what is about to
+/// be reused.
 fn ablate_replacement(m: &mut Cells) -> Figure {
     let mut fig = Figure::new("ablate_replacement", "ns per load around L3 capacity");
     for (label, policy) in [
         ("true LRU", Replacement::Lru),
-        ("tree PLRU", Replacement::TreePlru),
         ("random", Replacement::Random),
     ] {
         let mut s = Series::new(label);

@@ -126,13 +126,14 @@ impl LatencyScenario {
     pub fn run_detailed(&self) -> (f64, f64) {
         let mut p = self.prepare();
         let m = pointer_chase(&mut p.sys, p.measurer, &p.lines, p.t, 0xC0FFEE);
-        let mem_frac: f64 = m
+        // Summed as an integer: an empty `f64` sum is -0.0, which prints `-0`.
+        let mem_reads: u64 = m
             .by_source
             .iter()
             .filter(|(s, _)| matches!(s, hswx_coherence::DataSource::Memory(_)))
-            .map(|(_, &c)| c as f64)
-            .sum::<f64>()
-            / m.samples as f64;
+            .map(|(_, &c)| c)
+            .sum();
+        let mem_frac = mem_reads as f64 / m.samples as f64;
         (m.ns_per_access, mem_frac)
     }
 }

@@ -190,8 +190,8 @@ pub struct SystemConfig {
     /// HitME directory cache entries per home agent (1792 ≈ the real
     /// 14 KiB organization; ablation studies sweep this).
     pub hitme_entries: u32,
-    /// L3 victim-selection policy (ablation switch; real silicon uses a
-    /// PLRU-family approximation).
+    /// L3 victim-selection policy: true LRU, or random for the
+    /// replacement ablation.
     pub l3_replacement: Replacement,
 }
 
@@ -382,10 +382,11 @@ fn mode_tag(m: CoherenceMode) -> u8 {
     }
 }
 
+/// Tag 1 is unused. The tags are frozen: config digests and checkpoint
+/// keys hash them.
 fn repl_tag(r: Replacement) -> u8 {
     match r {
         Replacement::Lru => 0,
-        Replacement::TreePlru => 1,
         Replacement::Random => 2,
     }
 }

@@ -36,7 +36,7 @@ fn config_strategy() -> impl Strategy<Value = SystemConfig> {
         (prop_oneof![Just(8u32), Just(64), Just(1792)], any::<bool>()),
         any::<bool>(),
         (
-            prop_oneof![Just(Replacement::Lru), Just(Replacement::TreePlru), Just(Replacement::Random)],
+            prop_oneof![Just(Replacement::Lru), Just(Replacement::Random)],
             any::<bool>(),
         ),
     )

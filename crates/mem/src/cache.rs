@@ -1,4 +1,4 @@
-//! Generic set-associative cache array with true-LRU replacement.
+//! Generic set-associative cache array with true-LRU or random replacement.
 //!
 //! The same container backs L1D, L2, the L3 slices, and the HitME directory
 //! cache; the payload `S` carries whatever per-line metadata the level needs
@@ -19,7 +19,7 @@
 //! original implementation (proved by the differential proptests against
 //! the retained [`reference`] oracle).
 //!
-//! Only the per-set arrays (occupancy, PLRU bits) exist from construction.
+//! Only the per-set occupancy counts exist from construction.
 //! The per-slot arrays (tags, LRU ticks, payloads) are allocated by the
 //! first [`insert`](SetAssocCache::insert): a simulated system owns
 //! megabytes of slots, most runs fill a fraction of its caches, and
@@ -32,8 +32,7 @@
 //!
 //! Every `access` and `insert` takes the next value of a cache-wide
 //! `u32` counter and stamps it on the slot it touches. Only the order of
-//! the ticks *within one set* is ever read (the LRU victim, and the
-//! oldest-tick fallback of tree-PLRU on non-power-of-two ways), so when
+//! the ticks *within one set* is ever read (the LRU victim), so when
 //! the counter would pass `u32::MAX` each set's occupied slots are
 //! renumbered `1..=occ` in tick order and the counter restarts above
 //! them: every victim stays the one a never-wrapping counter picks.
@@ -44,18 +43,13 @@ use serde::{Deserialize, Serialize};
 
 /// Victim-selection policy.
 ///
-/// Real Haswell caches use tree-PLRU-style approximations rather than true
-/// LRU; the simulator defaults to true LRU (indistinguishable for the
-/// paper's controlled single-pass workloads) and offers the alternatives
-/// for ablation studies.
+/// True LRU is the default, and every cache of the paper's figures uses
+/// it; random replacement is the alternative the L3 ablation compares.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum Replacement {
     /// True least-recently-used (default).
     #[default]
     Lru,
-    /// Tree pseudo-LRU approximation (power-of-two ways; other
-    /// associativities fall back to NRU-style oldest-untouched).
-    TreePlru,
     /// Uniform random victim (deterministic xorshift stream).
     Random,
 }
@@ -100,8 +94,6 @@ pub struct SetAssocCache<S> {
     states: Vec<Option<S>>,
     /// Occupied slots per set.
     occ: Vec<u16>,
-    /// Tree-PLRU direction bits per set (bit i = internal node i).
-    plru: Vec<u32>,
     n_sets: usize,
     ways: usize,
     /// `n_sets - 1` when the set count is a power of two, else `u64::MAX`
@@ -129,7 +121,6 @@ impl<S> SetAssocCache<S> {
             lru: Vec::new(),
             states: Vec::new(),
             occ: vec![0; n_sets],
-            plru: vec![0; n_sets],
             n_sets,
             ways,
             set_mask: if n_sets.is_power_of_two() {
@@ -148,54 +139,6 @@ impl<S> SetAssocCache<S> {
         let mut states = Vec::new();
         states.resize_with(slots, || None);
         (vec![0; slots], vec![0; slots], states)
-    }
-
-    /// Walk the PLRU tree of `set` away from the way that was just
-    /// touched (classic tree-PLRU update). Only [`Self::plru_victim`]
-    /// reads the bits, so other policies skip the walk.
-    fn plru_touch(&mut self, set: usize, way_idx: usize) {
-        if self.policy != Replacement::TreePlru || !self.ways.is_power_of_two() {
-            return;
-        }
-        let mut node = 0usize; // root
-        let mut lo = 0usize;
-        let mut hi = self.ways;
-        while hi - lo > 1 {
-            let mid = (lo + hi) / 2;
-            let go_right = way_idx >= mid;
-            // Point the bit AWAY from the accessed half.
-            if go_right {
-                self.plru[set] &= !(1 << node);
-                lo = mid;
-            } else {
-                self.plru[set] |= 1 << node;
-                hi = mid;
-            }
-            node = 2 * node + 1 + usize::from(go_right);
-        }
-    }
-
-    /// The way tree-PLRU would evict from `set` (only called on full sets).
-    fn plru_victim(&self, set: usize) -> usize {
-        if !self.ways.is_power_of_two() {
-            // NRU-ish fallback: oldest tick.
-            return self.min_lru_slot(set);
-        }
-        let bits = self.plru[set];
-        let mut node = 0usize;
-        let mut lo = 0usize;
-        let mut hi = self.ways;
-        while hi - lo > 1 {
-            let mid = (lo + hi) / 2;
-            let go_right = bits & (1 << node) != 0;
-            if go_right {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-            node = 2 * node + 1 + usize::from(go_right);
-        }
-        lo
     }
 
     /// Set-relative slot holding the smallest LRU tick of a full set.
@@ -248,7 +191,6 @@ impl<S> SetAssocCache<S> {
     fn victim_idx(&mut self, set: usize) -> usize {
         match self.policy {
             Replacement::Lru => self.min_lru_slot(set),
-            Replacement::TreePlru => self.plru_victim(set),
             Replacement::Random => (self.next_rand() % self.ways as u64) as usize,
         }
     }
@@ -301,8 +243,7 @@ impl<S> SetAssocCache<S> {
     }
 
     /// Hint the host CPU to pull `line`'s set metadata (tags, LRU ticks,
-    /// payloads, occupancy, PLRU bits) into its cache ahead of an
-    /// upcoming probe.
+    /// payloads, occupancy) into its cache ahead of an upcoming probe.
     ///
     /// Semantically a no-op — nothing is read or written, so a prefetched
     /// walk is bit-identical to an unprefetched one. The batch engine's
@@ -321,6 +262,10 @@ impl<S> SetAssocCache<S> {
             use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
             let set = self.set_of(line);
             let base = set * self.ways;
+            // SAFETY: the slot arrays are allocated (checked above) with
+            // `n_sets * ways` entries and `occ` with `n_sets`, so `set`,
+            // `base` and every offset below `ways` tags stay inside them;
+            // a prefetch reads and writes nothing.
             unsafe {
                 // A 20-way tag span is 160 bytes: touch every host line
                 // of it, plus the first line of each parallel array.
@@ -334,7 +279,6 @@ impl<S> SetAssocCache<S> {
                 _mm_prefetch::<_MM_HINT_T0>(self.lru.as_ptr().add(base) as *const i8);
                 _mm_prefetch::<_MM_HINT_T0>(self.states.as_ptr().add(base) as *const i8);
                 _mm_prefetch::<_MM_HINT_T0>(self.occ.as_ptr().add(set) as *const i8);
-                _mm_prefetch::<_MM_HINT_T0>(self.plru.as_ptr().add(set) as *const i8);
             }
         }
         #[cfg(not(target_arch = "x86_64"))]
@@ -393,7 +337,6 @@ impl<S> SetAssocCache<S> {
         let tick = self.bump();
         let s = self.set_of(line);
         let idx = self.find(s, line.0)?;
-        self.plru_touch(s, idx - s * self.ways);
         self.lru[idx] = tick;
         self.states[idx].as_mut()
     }
@@ -408,7 +351,6 @@ impl<S> SetAssocCache<S> {
         let s = self.set_of(line);
         let base = s * self.ways;
         if let Some(idx) = self.find(s, line.0) {
-            self.plru_touch(s, idx - base);
             self.lru[idx] = tick;
             let old = self.states[idx].replace(state).expect("resident slot");
             return Some((line, old));
@@ -423,12 +365,9 @@ impl<S> SetAssocCache<S> {
             self.lru[idx] = tick;
             self.states[idx] = Some(state);
             self.occ[s] += 1;
-            self.plru_touch(s, occ);
             return None;
         }
-        let victim = self.victim_idx(s);
-        self.plru_touch(s, victim);
-        let idx = base + victim;
+        let idx = base + self.victim_idx(s);
         let vtag = self.tags[idx];
         self.tags[idx] = line.0;
         self.lru[idx] = tick;
@@ -486,7 +425,6 @@ pub mod reference {
     #[derive(Debug, Clone)]
     pub struct RefSetAssocCache<S> {
         sets: Vec<Vec<Way<S>>>,
-        plru: Vec<u32>,
         ways: usize,
         tick: u64,
         len: usize,
@@ -499,60 +437,12 @@ pub mod reference {
             let sets = geom.sets() as usize;
             RefSetAssocCache {
                 sets: (0..sets).map(|_| Vec::with_capacity(geom.ways as usize)).collect(),
-                plru: vec![0; sets],
                 ways: geom.ways as usize,
                 tick: 0,
                 len: 0,
                 policy,
                 rng_state: 0x9E3779B97F4A7C15,
             }
-        }
-
-        fn plru_touch(&mut self, set: usize, way_idx: usize) {
-            if !self.ways.is_power_of_two() {
-                return;
-            }
-            let mut node = 0usize;
-            let mut lo = 0usize;
-            let mut hi = self.ways;
-            while hi - lo > 1 {
-                let mid = (lo + hi) / 2;
-                let go_right = way_idx >= mid;
-                if go_right {
-                    self.plru[set] &= !(1 << node);
-                    lo = mid;
-                } else {
-                    self.plru[set] |= 1 << node;
-                    hi = mid;
-                }
-                node = 2 * node + 1 + usize::from(go_right);
-            }
-        }
-
-        fn plru_victim(&self, set: usize) -> usize {
-            if !self.ways.is_power_of_two() {
-                return self.sets[set]
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, w)| w.lru)
-                    .map(|(i, _)| i)
-                    .unwrap_or(0);
-            }
-            let bits = self.plru[set];
-            let mut node = 0usize;
-            let mut lo = 0usize;
-            let mut hi = self.ways;
-            while hi - lo > 1 {
-                let mid = (lo + hi) / 2;
-                let go_right = bits & (1 << node) != 0;
-                if go_right {
-                    lo = mid;
-                } else {
-                    hi = mid;
-                }
-                node = 2 * node + 1 + usize::from(go_right);
-            }
-            lo
         }
 
         fn next_rand(&mut self) -> u64 {
@@ -572,7 +462,6 @@ pub mod reference {
                     .min_by_key(|(_, w)| w.lru)
                     .map(|(i, _)| i)
                     .expect("full set is non-empty"),
-                Replacement::TreePlru => self.plru_victim(set),
                 Replacement::Random => (self.next_rand() % self.ways as u64) as usize,
             }
         }
@@ -605,7 +494,6 @@ pub mod reference {
             let tick = self.bump();
             let s = self.set_of(line);
             let idx = self.sets[s].iter().position(|w| w.tag == line.0)?;
-            self.plru_touch(s, idx);
             let way = &mut self.sets[s][idx];
             way.lru = tick;
             Some(&mut way.state)
@@ -616,21 +504,17 @@ pub mod reference {
             let ways = self.ways;
             let s = self.set_of(line);
             if let Some(idx) = self.sets[s].iter().position(|w| w.tag == line.0) {
-                self.plru_touch(s, idx);
                 let w = &mut self.sets[s][idx];
                 w.lru = tick;
                 let old = std::mem::replace(&mut w.state, state);
                 return Some((line, old));
             }
             if self.sets[s].len() < ways {
-                let idx = self.sets[s].len();
                 self.sets[s].push(Way { tag: line.0, lru: tick, state });
-                self.plru_touch(s, idx);
                 self.len += 1;
                 return None;
             }
             let victim_idx = self.victim_idx(s);
-            self.plru_touch(s, victim_idx);
             let victim = std::mem::replace(
                 &mut self.sets[s][victim_idx],
                 Way { tag: line.0, lru: tick, state },
@@ -699,22 +583,6 @@ mod tests {
     }
 
     #[test]
-    fn tree_plru_protects_recently_touched_ways() {
-        // 1 set x 4 ways.
-        let mut c: SetAssocCache<u32> =
-            SetAssocCache::with_policy(CacheGeometry::new(4 * 64, 4), Replacement::TreePlru);
-        for i in 0..4 {
-            c.insert(LineAddr(i), i as u32);
-        }
-        // Touch lines 0 and 1; the victim must come from {2, 3}.
-        c.access(LineAddr(0));
-        c.access(LineAddr(1));
-        let (victim, _) = c.insert(LineAddr(10), 10).unwrap();
-        assert!(victim == LineAddr(2) || victim == LineAddr(3), "{victim}");
-        assert!(c.contains(LineAddr(0)) && c.contains(LineAddr(1)));
-    }
-
-    #[test]
     fn random_policy_is_deterministic_and_bounded() {
         let run = || {
             let mut c: SetAssocCache<()> =
@@ -736,13 +604,13 @@ mod tests {
     }
 
     #[test]
-    fn plru_differs_from_lru_on_adversarial_pattern() {
-        // Zig-zag access pattern where PLRU's approximation diverges from
-        // true LRU: just assert both stay correct containers.
+    fn zigzag_pattern_stays_within_capacity() {
+        // Zig-zag inserts and accesses over more lines than fit: every
+        // policy must stay a correct container.
         let mk = |p| -> SetAssocCache<u32> {
             SetAssocCache::with_policy(CacheGeometry::new(8 * 64, 8), p)
         };
-        for policy in [Replacement::Lru, Replacement::TreePlru, Replacement::Random] {
+        for policy in [Replacement::Lru, Replacement::Random] {
             let mut c = mk(policy);
             for i in 0..1000u64 {
                 c.insert(LineAddr(i % 24), i as u32);
@@ -771,9 +639,8 @@ mod tests {
 
     #[test]
     fn non_power_of_two_ways_basics() {
-        // 4 sets x 3 ways: tree-PLRU falls back to oldest-tick.
-        let mut c: SetAssocCache<u32> =
-            SetAssocCache::with_policy(CacheGeometry::new(12 * 64, 3), Replacement::TreePlru);
+        // 4 sets x 3 ways.
+        let mut c: SetAssocCache<u32> = SetAssocCache::new(CacheGeometry::new(12 * 64, 3));
         for i in 0..12u64 {
             c.insert(LineAddr(i), i as u32);
         }
@@ -957,13 +824,12 @@ mod proptests {
         /// power-of-two and non-power-of-two way counts.
         #[test]
         fn bit_identical_to_nested_vec_reference(
-            policy_sel in 0u8..3,
+            policy_sel in 0u8..2,
             ways_sel in 0u8..4,
             cold in 0usize..6,
             ops in proptest::collection::vec((0u64..64, 0u8..7), 1..600)
         ) {
-            let policy = [Replacement::Lru, Replacement::TreePlru, Replacement::Random]
-                [policy_sel as usize];
+            let policy = [Replacement::Lru, Replacement::Random][policy_sel as usize];
             // 4 sets with 2 / 3 / 5 / 8 ways.
             let ways = [2u32, 3, 5, 8][ways_sel as usize];
             let geom = CacheGeometry::new(4 * ways as u64 * 64, ways);
@@ -997,13 +863,12 @@ mod proptests {
         /// reference, whose `u64` counter never wraps.
         #[test]
         fn tick_wrap_is_invisible(
-            policy_sel in 0u8..3,
+            policy_sel in 0u8..2,
             ways_sel in 0u8..4,
             headroom in 0u32..300,
             ops in proptest::collection::vec((0u64..64, 0u8..7), 700..1000)
         ) {
-            let policy = [Replacement::Lru, Replacement::TreePlru, Replacement::Random]
-                [policy_sel as usize];
+            let policy = [Replacement::Lru, Replacement::Random][policy_sel as usize];
             let ways = [2u32, 3, 5, 8][ways_sel as usize];
             let geom = CacheGeometry::new(4 * ways as u64 * 64, ways);
             let mut new: SetAssocCache<u32> = SetAssocCache::with_policy(geom, policy);
